@@ -73,7 +73,7 @@ void AblateConsistentHashing() {
 void AblateCacheTiers(const baselines::BenchDataset& data) {
   std::printf("\n(c) hierarchical index cache: per-acquire latency by tier\n");
   storage::ObjectStore store;  // realistic remote latency
-  common::ThreadPool pool(2);
+  common::TaskScheduler pool(2);
   storage::TableSchema schema;
   schema.table_name = "t";
   schema.columns = {{"id", storage::ColumnType::kInt64},

@@ -27,7 +27,7 @@ int main() {
   const size_t kRows = 16384;
   storage::ObjectStore store(storage::StorageCostModel::Remote());
   cluster::RpcFabric rpc;  // realistic RPC cost
-  common::ThreadPool build_pool(2);
+  common::TaskScheduler build_pool(2);
 
   storage::TableSchema schema;
   schema.table_name = "t";

@@ -124,6 +124,6 @@ int main() {
       " degradation is queue\nwait (segment tasks parked behind index-build"
       " work), not compute.\n");
   bench::PrintRegistrySnapshot(
-      {"bh_sql_", "bh_threadpool_", "bh_scheduler_", "bh_lsm_"});
+      {"bh_sql_", "bh_scheduler_", "bh_lsm_"});
   return 0;
 }

@@ -72,8 +72,8 @@ common::Status MilvusSim::Load(const BenchDataset& data) {
   }
 
   // Stage 2: only after all writes finish does index building start.
-  common::ThreadPool pool(options_.build_threads);
-  std::vector<std::future<common::Status>> builds;
+  common::TaskScheduler pool(options_.build_threads);
+  std::vector<common::Future<common::Status>> builds;
   for (Segment& seg : segments_) {
     builds.push_back(pool.Submit([this, &seg]() -> common::Status {
       vecindex::HnswOptions opts;
@@ -94,7 +94,7 @@ common::Status MilvusSim::Load(const BenchDataset& data) {
     }));
   }
   for (auto& fut : builds) {
-    common::Status s = fut.get();
+    common::Status s = fut.Get();
     if (!s.ok()) return s;
   }
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "baselines/vectordb_iface.h"
-#include "common/threadpool.h"
+#include "common/task_scheduler.h"
 #include "storage/object_store.h"
 #include "vecindex/hnsw_index.h"
 

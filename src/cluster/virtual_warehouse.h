@@ -23,7 +23,7 @@ namespace blendhouse::cluster {
 /// pre-scale ring so vector search serving can route misses to old owners.
 ///
 /// Lock hierarchy: mu_ is above every worker-internal lock (cache mutexes,
-/// thread-pool mutexes). Methods called while holding mu_ may take worker
+/// scheduler mutexes). Methods called while holding mu_ may take worker
 /// locks; workers never call back into the VW while holding their own locks
 /// (the peer resolver runs from AcquireIndex with no worker lock held).
 class VirtualWarehouse {
@@ -117,7 +117,7 @@ class VirtualWarehouse {
   // Declared before workers_ so it is destroyed after them: straggler tasks
   // draining on a worker's pool during ~Worker still call ScheduleAfter on
   // this scheduler. Continuations queued here never touch Worker state (they
-  // only complete promises / fold into shared attempt state), so dropping
+  // only complete promises / fold into shared attempt state), so running
   // whatever is still queued when the scheduler finally stops is safe.
   mutable common::TaskScheduler scheduler_{2};
 

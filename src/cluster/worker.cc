@@ -105,7 +105,7 @@ common::Result<Worker::AcquiredIndex> Worker::AcquireIndex(
           // `this` outlives the task: loader_ is the last member of Worker,
           // so ~Worker joins it (draining the queue) before anything else
           // of *this is torn down.
-          loader_.Submit([this, key, spec] {  // lint:allow(this-capture)
+          loader_.Schedule([this, key, spec] {  // lint:allow(this-capture)
             auto st = index_cache_.GetOrLoad(key, spec);
             if (!st.ok())
               BH_LOG(kWarn, "background index load failed: " +
@@ -124,7 +124,7 @@ common::Result<Worker::AcquiredIndex> Worker::AcquireIndex(
   if (opts.allow_brute_force) {
     if (opts.background_load_on_fallback) {
       // Safe for the same reason as above: ~Worker joins loader_ first.
-      loader_.Submit([this, key, spec] {  // lint:allow(this-capture)
+      loader_.Schedule([this, key, spec] {  // lint:allow(this-capture)
         auto st = index_cache_.GetOrLoad(key, spec);
         if (!st.ok())
           BH_LOG(kWarn,
@@ -158,10 +158,10 @@ uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
 
 void Worker::SearchSegmentAsync(
     common::TaskScheduler* sched, std::function<void()> search,
-    std::function<void(const AsyncTaskStats&)> done, size_t affinity) {
+    std::function<void(const AsyncTaskStats&)> done) {
   auto enqueued = std::chrono::steady_clock::now();
-  pool_.Submit(
-      [enqueued, sched, affinity, search = std::move(search),
+  pool_.Schedule(
+      [enqueued, sched, search = std::move(search),
        done = std::move(done)]() mutable {
         auto start = std::chrono::steady_clock::now();
         AsyncTaskStats stats;
@@ -175,16 +175,9 @@ void Worker::SearchSegmentAsync(
           stats.sim_io_micros = scope.accumulated_micros();
         }
         stats.compute_micros = ElapsedMicros(start);
-        // Matches what ScheduleAfter will pick for this affinity; filled
-        // before capture because `done` closes over stats by value.
-        stats.shard = affinity == common::kNoAffinity
-                          ? 0
-                          : affinity % sched->num_shards();
         sched->ScheduleAfter(stats.sim_io_micros,
-                             [done = std::move(done), stats] { done(stats); },
-                             affinity);
-      },
-      affinity);
+                             [done = std::move(done), stats] { done(stats); });
+      });
 }
 
 common::Future<common::Status> Worker::PreloadIndexAsync(
@@ -201,8 +194,8 @@ common::Future<common::Status> Worker::PreloadIndexAsync(
   vecindex::IndexSpec spec = *schema.index_spec;
   // `this` outlives the task: ~Worker joins loader_ (declared last) before
   // index_cache_ is destroyed.
-  loader_.Submit([this, sched, key = std::move(key),  // lint:allow(this-capture)
-                  promise = std::move(promise), spec]() mutable {
+  loader_.Schedule([this, sched, key = std::move(key),  // lint:allow(this-capture)
+                    promise = std::move(promise), spec]() mutable {
     common::Status status;
     uint64_t sim_io = 0;
     {

@@ -12,7 +12,6 @@
 #include "common/query_ledger.h"
 #include "common/result.h"
 #include "common/task_scheduler.h"
-#include "common/threadpool.h"
 #include "storage/lsm_engine.h"
 #include "storage/schema.h"
 #include "storage/segment.h"
@@ -41,10 +40,6 @@ struct AsyncTaskStats {
   uint64_t queue_wait_micros = 0;
   uint64_t compute_micros = 0;
   uint64_t sim_io_micros = 0;
-  /// Delay-queue shard the completion continuation was pinned to (the
-  /// affinity hint modulo the scheduler's shard count); 0 when the task was
-  /// dispatched without an affinity hint.
-  uint64_t shard = 0;
 };
 
 /// How AcquireIndex may satisfy a request.
@@ -71,7 +66,7 @@ class Worker {
          WorkerOptions options = {});
 
   const std::string& id() const { return id_; }
-  common::ThreadPool& pool() { return pool_; }
+  common::TaskScheduler& pool() { return pool_; }
   HierarchicalIndexCache& index_cache() { return index_cache_; }
 
   /// Resolves the pre-scale owner of a segment key; installed by the
@@ -128,15 +123,10 @@ class Worker {
   /// now + accumulated sim-I/O: per-task wall-clock latency is preserved
   /// while the pool thread is already free to start the next segment.
   /// `search`/`done` must own everything they touch (shared query context);
-  /// they may outlive the caller's stack frame. `affinity` is a stable
-  /// submitter hint (the executor passes a hash of the segment id): it pins
-  /// the compute task to one pool run-queue shard and the completion to one
-  /// scheduler shard, so repeated tasks for a segment keep their state on a
-  /// warm shard (stealing still rebalances under skew).
+  /// they may outlive the caller's stack frame.
   void SearchSegmentAsync(common::TaskScheduler* sched,
                           std::function<void()> search,
-                          std::function<void(const AsyncTaskStats&)> done,
-                          size_t affinity = common::kNoAffinity);
+                          std::function<void(const AsyncTaskStats&)> done);
 
   /// Async preload of one segment's index: same deferred-charge pattern as
   /// SearchSegmentAsync but on the background loader pool, so N preloads
@@ -205,12 +195,12 @@ class Worker {
       filter_bitmap_cache_;
   PeerResolver peer_resolver_;
   std::atomic<uint64_t> peer_serves_{0};
-  // The pools are declared last on purpose: their destructors drain queued
+  // The pools are declared last on purpose: their destructors run queued
   // tasks, which touch the caches above — so the pools must die first.
-  common::ThreadPool pool_;
+  common::TaskScheduler pool_;
   /// Background cache-warming I/O runs here so multi-second remote index
   /// loads never block query execution on pool_.
-  common::ThreadPool loader_;
+  common::TaskScheduler loader_;
 };
 
 /// VectorIndex adapter that forwards execution-layer calls to an index held

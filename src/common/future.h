@@ -7,12 +7,17 @@
 
 #include "common/move_only_fn.h"
 #include "common/mutex.h"
-#include "common/task_scheduler.h"
 
 namespace blendhouse::common {
 
+class TaskScheduler;
+
 /// Result type for continuations that return void.
 struct Unit {};
+
+/// The value type a Future carries for a callable returning R.
+template <typename R>
+using ValueOrUnit = std::conditional_t<std::is_void_v<R>, Unit, R>;
 
 template <typename T>
 class Future;
@@ -20,6 +25,10 @@ template <typename T>
 class Promise;
 
 namespace internal {
+
+/// sched->Schedule(cont), out of line: task_scheduler.h includes this
+/// header for TaskScheduler::Submit.
+void ScheduleContinuation(TaskScheduler* sched, MoveOnlyFn cont);
 
 /// Shared state behind a Promise/Future pair. Supports one value, one
 /// blocking getter, and at most one continuation; the continuation runs on
@@ -40,7 +49,7 @@ class FutureState {
     cv_.NotifyAll();
     if (cont) {
       if (sched != nullptr) {
-        sched->Schedule(std::move(cont));
+        ScheduleContinuation(sched, std::move(cont));
       } else {
         // Inline continuation: runs on the Set() caller's stack, so any lock
         // that caller holds is held across arbitrary user code — the PR5
@@ -85,7 +94,7 @@ class FutureState {
     }
     if (fire_now) {
       if (sched != nullptr) {
-        sched->Schedule(std::move(cont));
+        ScheduleContinuation(sched, std::move(cont));
       } else {
         BH_LOCK_RANK_ONLY(
             lockrank::AssertNoneHeld("inline Future continuation (Then)"));
@@ -149,10 +158,9 @@ class Future {
   /// continuations yield Future<Unit>. May be called at most once.
   template <typename Fn>
   auto Then(TaskScheduler* sched, Fn fn)
-      -> Future<std::conditional_t<std::is_void_v<std::invoke_result_t<Fn, T>>,
-                                   Unit, std::invoke_result_t<Fn, T>>> {
+      -> Future<ValueOrUnit<std::invoke_result_t<Fn, T>>> {
     using R0 = std::invoke_result_t<Fn, T>;
-    using R = std::conditional_t<std::is_void_v<R0>, Unit, R0>;
+    using R = ValueOrUnit<R0>;
     Promise<R> promise;
     Future<R> out = promise.GetFuture();
     auto state = state_;

@@ -37,10 +37,7 @@ constexpr NamedRank kRankNames[] = {
     {kFuture, "kFuture(400)"},
     {kObjectStore, "kObjectStore(300)"},
     {kLruCache, "kLruCache(250)"},
-    {kThreadPool, "kThreadPool(200)"},
-    {kThreadPoolShard, "kThreadPoolShard(195)"},
     {kTaskScheduler, "kTaskScheduler(180)"},
-    {kSchedulerShard, "kSchedulerShard(175)"},
     {kMetricsRegistry, "kMetricsRegistry(150)"},
     {kSimWait, "kSimWait(100)"},
 };

@@ -22,13 +22,13 @@
 //
 // Picking a rank for a new mutex: find every lock that can be held when
 // yours is acquired (callers' locks) and every lock your critical sections
-// acquire (including through calls — ThreadPool::Submit takes the pool lock,
-// ObjectStore::Get takes the store lock and may block in the sim-latency
-// wait). Your rank must sit strictly between them. Prefer reusing an
-// existing band (e.g. a new LRU-style cache takes kLruCache); add a new
-// constant only for a new layer, leaving numeric gaps. tools/lockgraph.py
-// re-derives the full table, so a wrong guess fails the lint leg, not
-// production.
+// acquire (including through calls — TaskScheduler::Schedule takes the
+// scheduler lock, ObjectStore::Get takes the store lock and may block in the
+// sim-latency wait). Your rank must sit strictly between them. Prefer
+// reusing an existing band (e.g. a new LRU-style cache takes kLruCache); add
+// a new constant only for a new layer, leaving numeric gaps.
+// tools/lockgraph.py re-derives the full table, so a wrong guess fails the
+// lint leg, not production.
 
 namespace blendhouse::common::lockrank {
 
@@ -115,29 +115,12 @@ inline constexpr int kObjectStore = 300;
 /// two LRU locks: tier walks in HierarchicalIndexCache are sequential.
 inline constexpr int kLruCache = 250;
 
-/// common::ThreadPool::sleep_mu_ — the pool's eventcount (idle-worker
-/// parking and the Wait() barrier). Taken with no shard lock held, by
-/// submitters (wake), finishing tasks (idle notify), and parking workers.
-inline constexpr int kThreadPool = 200;
-
-/// common::ThreadPool::PoolShard::mu — per-worker run-queue shards
-/// (DESIGN.md §12). All shards of all pools share this one rank: the steal
-/// protocol never holds two shard locks at once (a thief releases nothing —
-/// it owns nothing — and takes exactly one victim lock), so the equal-rank
-/// check dynamically enforces the no-nesting discipline, and
-/// tools/lockgraph.py rejects any same-rank shard edge statically
-/// (rule `shard-nesting`). Submit is callable under any higher lock.
-inline constexpr int kThreadPoolShard = 195;
-
-/// common::TaskScheduler::sleep_mu_ — the scheduler's eventcount (idle
-/// parking with per-owner deadline waits, and the Drain() barrier). Tasks
-/// and expired continuations run with no scheduler lock held.
+/// common::TaskScheduler::mu_ — the scheduler's ready queue, deadline heap
+/// and park/Drain() condition variables (DESIGN.md §12). Schedule is
+/// callable under any higher lock; tasks run with it released. Its critical
+/// sections update the queue-depth gauge and queue-wait histogram, whose
+/// objects are lock-free.
 inline constexpr int kTaskScheduler = 180;
-
-/// common::TaskScheduler::SchedulerShard::mu — per-thread ready deque +
-/// deadline heap shards. Same no-nesting family discipline as
-/// kThreadPoolShard: thieves steal ready work under exactly one shard lock.
-inline constexpr int kSchedulerShard = 175;
 
 /// common::metrics::MetricsRegistry::mu_ — metric name map. Get* is called
 /// from constructors that may run under a warehouse or engine lock; the

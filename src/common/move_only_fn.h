@@ -8,11 +8,11 @@ namespace blendhouse::common {
 
 /// Move-only type-erased callable with signature void().
 ///
-/// std::function requires the wrapped callable to be copyable, which forces
-/// ThreadPool::Submit to put its std::packaged_task behind a shared_ptr — two
-/// heap allocations per task. MoveOnlyFn erases move-only callables directly
-/// (one allocation), so a promise or packaged_task can live inside the
-/// closure itself.
+/// std::function requires the wrapped callable to be copyable, so a closure
+/// owning a Promise would have to hold it behind a shared_ptr — two heap
+/// allocations per task. MoveOnlyFn erases move-only callables directly (one
+/// allocation), so TaskScheduler::Submit's promise lives inside the closure
+/// itself.
 class MoveOnlyFn {
  public:
   MoveOnlyFn() = default;

@@ -9,7 +9,6 @@
 #include "cluster/scheduler.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/sharding.h"
 #include "storage/segment.h"
 
 namespace blendhouse::core {
@@ -124,24 +123,22 @@ BlendHouse::BlendHouse(BlendHouseOptions options)
       rpc_(options_.rpc_cost),
       trace_sink_(options_.trace),
       query_log_(options_.query_log) {
-  // Pin the process-wide topology default before any pool/scheduler below
-  // is constructed (the flag is read at construction time).
-  common::SetSchedulerSharding(options_.scheduler_sharding);
   cluster::WorkerOptions worker_options = options_.worker;
   worker_options.threads = options_.worker_threads;
   read_vw_ = std::make_unique<cluster::VirtualWarehouse>(
       "read", options_.read_workers, &store_, &rpc_, worker_options);
   if (options_.separate_write_vw)
-    build_pool_ = std::make_unique<common::ThreadPool>(options_.build_threads);
+    build_pool_ =
+        std::make_unique<common::TaskScheduler>(options_.build_threads);
 }
 
 BlendHouse::~BlendHouse() = default;
 
-std::vector<common::ThreadPool*> BlendHouse::IndexBuildPools() {
+std::vector<common::TaskScheduler*> BlendHouse::IndexBuildPools() {
   if (options_.separate_write_vw) return {build_pool_.get()};
   // Mixed configuration: index builds contend with queries for the read
   // VW's worker threads (Fig. 12).
-  std::vector<common::ThreadPool*> pools;
+  std::vector<common::TaskScheduler*> pools;
   for (cluster::Worker* w : read_vw_->workers()) pools.push_back(&w->pool());
   return pools;
 }
@@ -754,16 +751,6 @@ common::Status BlendHouse::ApplySetting(const sql::SetStmt& stmt) {
     if (!vecindex::ParsePrecision(*v, &p))
       return common::Status::InvalidArgument("unknown precision: " + *v);
     s.distance_precision = p;
-    return common::Status::Ok();
-  }
-  if (name == "scheduler_sharding") {
-    auto v = as_int();
-    if (!v.ok()) return v.status();
-    // Process-wide construction-time default: affects pools/schedulers
-    // built after this point (a fresh instance, scale-out workers), not
-    // ones already running — queue topology cannot be swapped live.
-    options_.scheduler_sharding = *v != 0;
-    common::SetSchedulerSharding(*v != 0);
     return common::Status::Ok();
   }
   return common::Status::NotFound("unknown setting: " + stmt.name);

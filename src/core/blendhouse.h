@@ -131,7 +131,7 @@ class BlendHouse {
   /// statistics cannot be built.
   std::shared_ptr<const sql::TableStatistics> RefreshStatistics(
       TableState* table);
-  std::vector<common::ThreadPool*> IndexBuildPools();
+  std::vector<common::TaskScheduler*> IndexBuildPools();
 
   common::Result<sql::OptimizedQuery> Plan(const std::string& sql,
                                            const sql::SelectStmt& stmt,
@@ -166,7 +166,7 @@ class BlendHouse {
   cluster::RpcFabric rpc_;
   std::unique_ptr<cluster::VirtualWarehouse> read_vw_;
   std::function<void(size_t)> executor_topology_hook_for_test_;
-  std::unique_ptr<common::ThreadPool> build_pool_;
+  std::unique_ptr<common::TaskScheduler> build_pool_;
   sql::PlanCache plan_cache_;
   trace::TraceSink trace_sink_;
   QueryLog query_log_;

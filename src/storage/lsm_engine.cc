@@ -50,12 +50,12 @@ Row RowFromSegment(const Segment& segment, size_t i) {
 }
 
 LsmEngine::LsmEngine(TableSchema schema, ObjectStore* store,
-                     common::ThreadPool* index_pool, IngestOptions options)
+                     common::TaskScheduler* index_pool, IngestOptions options)
     : LsmEngine(std::move(schema), store,
-                std::vector<common::ThreadPool*>{index_pool}, options) {}
+                std::vector<common::TaskScheduler*>{index_pool}, options) {}
 
 LsmEngine::LsmEngine(TableSchema schema, ObjectStore* store,
-                     std::vector<common::ThreadPool*> index_pools,
+                     std::vector<common::TaskScheduler*> index_pools,
                      IngestOptions options)
     : schema_(std::move(schema)),
       store_(store),
@@ -63,7 +63,7 @@ LsmEngine::LsmEngine(TableSchema schema, ObjectStore* store,
       options_(options) {
   BH_ASSERT_MSG(!index_pools_.empty(), "LsmEngine needs an index-build pool");
   if (options_.async_flush)
-    flush_pool_ = std::make_unique<common::ThreadPool>(1);
+    flush_pool_ = std::make_unique<common::TaskScheduler>(1);
 }
 
 LsmEngine::~LsmEngine() {
@@ -111,14 +111,14 @@ common::Status LsmEngine::Insert(std::vector<Row> rows) {
 }
 
 common::Status LsmEngine::DrainPendingFlushes() {
-  std::vector<std::future<common::Status>> pending;
+  std::vector<common::Future<common::Status>> pending;
   {
     common::MutexLock lock(pending_mu_);
     pending = std::move(pending_flushes_);
   }
   common::Status status;
   for (auto& fut : pending) {
-    common::Status s = fut.get();
+    common::Status s = fut.Get();
     if (!s.ok() && status.ok()) status = s;
   }
   return status;
@@ -250,7 +250,7 @@ common::Status LsmEngine::FlushBatch(std::vector<Row> rows) {
   auto segments = BuildSegments(std::move(rows));
   if (!segments.ok()) return segments.status();
 
-  std::vector<std::future<common::Status>> index_builds;
+  std::vector<common::Future<common::Status>> index_builds;
   common::Status index_status;
   for (const SegmentPtr& segment : *segments) {
     {
@@ -273,7 +273,7 @@ common::Status LsmEngine::FlushBatch(std::vector<Row> rows) {
     }
   }
   for (auto& fut : index_builds) {
-    common::Status s = fut.get();
+    common::Status s = fut.Get();
     if (!s.ok() && index_status.ok()) index_status = s;
   }
   BH_RETURN_IF_ERROR(index_status);

@@ -8,7 +8,7 @@
 
 #include "common/mutex.h"
 #include "common/result.h"
-#include "common/threadpool.h"
+#include "common/task_scheduler.h"
 #include "storage/object_store.h"
 #include "storage/partitioner.h"
 #include "storage/schema.h"
@@ -62,14 +62,14 @@ struct IngestStats {
 class LsmEngine {
  public:
   LsmEngine(TableSchema schema, ObjectStore* store,
-            common::ThreadPool* index_pool, IngestOptions options = {});
+            common::TaskScheduler* index_pool, IngestOptions options = {});
 
   /// Index-build work is distributed round-robin over `index_pools`. Passing
   /// the read VW's worker pools here deliberately mixes write work into the
   /// query VW (the Fig. 12 interference setup); a dedicated pool models an
   /// isolated index-build VW.
   LsmEngine(TableSchema schema, ObjectStore* store,
-            std::vector<common::ThreadPool*> index_pools,
+            std::vector<common::TaskScheduler*> index_pools,
             IngestOptions options = {});
 
   /// Drains queued background flushes before any member is torn down.
@@ -128,13 +128,13 @@ class LsmEngine {
   common::Status CompactGroup(const std::vector<SegmentMeta>& group)
       REQUIRES(flush_mu_);
 
-  common::ThreadPool* NextIndexPool() {
+  common::TaskScheduler* NextIndexPool() {
     return index_pools_[pool_rr_.fetch_add(1) % index_pools_.size()];
   }
 
   TableSchema schema_;
   ObjectStore* store_;
-  std::vector<common::ThreadPool*> index_pools_;
+  std::vector<common::TaskScheduler*> index_pools_;
   std::atomic<size_t> pool_rr_{0};
   IngestOptions options_;
 
@@ -144,9 +144,9 @@ class LsmEngine {
   mutable common::Mutex memtable_mu_{common::lockrank::kLsmMemtable};
   std::vector<Row> memtable_ GUARDED_BY(memtable_mu_);
 
-  std::unique_ptr<common::ThreadPool> flush_pool_;  // async_flush only
+  std::unique_ptr<common::TaskScheduler> flush_pool_;  // async_flush only
   common::Mutex pending_mu_{common::lockrank::kLsmPending};
-  std::vector<std::future<common::Status>> pending_flushes_
+  std::vector<common::Future<common::Status>> pending_flushes_
       GUARDED_BY(pending_mu_);
 
   common::Mutex flush_mu_{

@@ -200,7 +200,7 @@ class ClusterFixture : public ::testing::Test {
 
   storage::ObjectStore store_;
   RpcFabric rpc_;
-  common::ThreadPool pool_;
+  common::TaskScheduler pool_;
   storage::TableSchema schema_;
   std::unique_ptr<storage::LsmEngine> engine_;
   std::vector<float> query_;

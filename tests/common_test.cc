@@ -10,7 +10,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/threadpool.h"
+#include "common/task_scheduler.h"
 
 namespace blendhouse::common {
 namespace {
@@ -255,27 +255,27 @@ TEST(BucketedHistogramTest, MergeMatchingBoundsAccumulates) {
   EXPECT_DOUBLE_EQ(a.Sum(), 62.0);
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
+TEST(TaskSchedulerTest, RunsAllTasks) {
+  TaskScheduler sched(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
+  std::vector<Future<Unit>> futs;
   for (int i = 0; i < 100; ++i)
-    futs.push_back(pool.Submit([&] { counter.fetch_add(1); }));
-  for (auto& f : futs) f.get();
+    futs.push_back(sched.Submit([&] { counter.fetch_add(1); }));
+  for (auto& f : futs) f.Get();
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto fut = pool.Submit([] { return 21 * 2; });
-  EXPECT_EQ(fut.get(), 42);
+TEST(TaskSchedulerTest, SubmitReturnsValue) {
+  TaskScheduler sched(2);
+  auto fut = sched.Submit([] { return 21 * 2; });
+  EXPECT_EQ(fut.Get(), 42);
 }
 
-TEST(ThreadPoolTest, WaitDrainsQueue) {
-  ThreadPool pool(2);
+TEST(TaskSchedulerTest, DrainWaitsForQueuedTasks) {
+  TaskScheduler sched(2);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
+  for (int i = 0; i < 50; ++i) sched.Schedule([&] { counter.fetch_add(1); });
+  sched.Drain();
   EXPECT_EQ(counter.load(), 50);
 }
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,7 +21,6 @@
 #include "common/lru_cache.h"
 #include "common/rng.h"
 #include "common/task_scheduler.h"
-#include "common/threadpool.h"
 #include "sql/plan_cache.h"
 #include "storage/lsm_engine.h"
 #include "storage/object_store.h"
@@ -135,31 +135,148 @@ TEST(ConcurrencyTest, PlanCacheGetPutInvalidate) {
 }
 
 // ---------------------------------------------------------------------------
-// common::ThreadPool — concurrent submit + wait
+// common::TaskScheduler — submit/drain races, ordering, shutdown,
+// continuations, delay queue, cancellation
 // ---------------------------------------------------------------------------
 
-TEST(ConcurrencyTest, ThreadPoolSubmitAndWait) {
-  common::ThreadPool pool(4);
+TEST(ConcurrencyTest, TaskSchedulerSubmitAndDrain) {
+  common::TaskScheduler sched(4);
   std::atomic<int> counter{0};
   constexpr int kSubmitters = 4;
   constexpr int kTasks = 500;
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&pool, &counter] {
+    submitters.emplace_back([&sched, &counter] {
       for (int i = 0; i < kTasks; ++i)
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      pool.Wait();  // Wait() may race with other submitters; must not hang.
+        sched.Submit([&counter] { counter.fetch_add(1); });
+      sched.Drain();  // Drain() races other submitters; must not hang.
     });
   }
   for (auto& th : submitters) th.join();
-  pool.Wait();
+  sched.Drain();
   EXPECT_EQ(counter.load(), kSubmitters * kTasks);
 }
 
-// ---------------------------------------------------------------------------
-// common::TaskScheduler — continuations, delay queue, cancellation
-// ---------------------------------------------------------------------------
+TEST(ConcurrencyTest, TaskSchedulerUnevenSubmitVsDrainRace) {
+  common::TaskScheduler sched(4);
+  std::atomic<int> counter{0};
+  constexpr int kSubmitters = 4;
+  constexpr int kTasks = 250;
+  std::vector<std::thread> submitters;
+  submitters.reserve(kSubmitters);
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&sched, &counter, t] {
+      for (int i = 0; i < kTasks; ++i) {
+        if (t % 2 == 0) {
+          // Even submitters' tasks each schedule a child from a scheduler
+          // thread, so the load is uneven and Drain() also races work that
+          // tasks themselves enqueue.
+          sched.Submit([&sched, &counter] {
+            counter.fetch_add(1);
+            sched.Schedule([&counter] { counter.fetch_add(1); });
+          });
+        } else {
+          sched.Submit([&counter] { counter.fetch_add(1); });
+        }
+      }
+      sched.Drain();  // Drain() races other submitters and children; no hang.
+    });
+  }
+  for (auto& th : submitters) th.join();
+  sched.Drain();
+  constexpr int kEven = (kSubmitters + 1) / 2;
+  EXPECT_EQ(counter.load(), kSubmitters * kTasks + kEven * kTasks);
+  EXPECT_EQ(sched.tasks_executed(),
+            static_cast<uint64_t>(kSubmitters * kTasks + kEven * kTasks));
+}
+
+TEST(ConcurrencyTest, TaskSchedulerDrainVsScheduleRace) {
+  common::TaskScheduler sched(4);
+  std::atomic<int> counter{0};
+  constexpr int kSubmitters = 3;
+  constexpr int kTasks = 200;
+  std::vector<std::thread> submitters;
+  submitters.reserve(kSubmitters);
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&sched, &counter] {
+      for (int i = 0; i < kTasks; ++i) {
+        auto bump = [&counter] { counter.fetch_add(1); };
+        if (i % 3 == 0) {
+          sched.ScheduleAfter(200 + 150 * static_cast<uint64_t>(i % 5), bump);
+        } else {
+          sched.Schedule(bump);
+        }
+      }
+    });
+  }
+  // Drain concurrently with the submitters: it must neither hang nor return
+  // while work it can observe is still outstanding.
+  std::thread drainer([&sched] {
+    for (int i = 0; i < 5; ++i) sched.Drain();
+  });
+  for (auto& th : submitters) th.join();
+  drainer.join();
+  sched.Drain();
+  EXPECT_EQ(counter.load(), kSubmitters * kTasks);
+  EXPECT_EQ(sched.tasks_executed(),
+            static_cast<uint64_t>(kSubmitters) * kTasks);
+}
+
+TEST(ConcurrencyTest, TaskSchedulerSingleThreadRunsInSubmissionOrder) {
+  common::TaskScheduler sched(1);
+  std::vector<int> ready_order;
+  for (int i = 0; i < 16; ++i)
+    sched.Schedule([&ready_order, i] { ready_order.push_back(i); });
+  sched.Drain();
+  ASSERT_EQ(ready_order.size(), 16u);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(ready_order[i], i);
+
+  // One delay from one thread: each deadline equals or follows the previous
+  // one, and equal deadlines fire in submission order.
+  std::vector<int> delayed_order;
+  for (int i = 0; i < 16; ++i)
+    sched.ScheduleAfter(1000, [&delayed_order, i] {
+      delayed_order.push_back(i);
+    });
+  sched.Drain();
+  ASSERT_EQ(delayed_order.size(), 16u);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(delayed_order[i], i);
+}
+
+// The destructor runs every accepted task exactly once, so completion
+// continuations always fire: ready tasks queued behind a blocker, a delayed
+// task due an hour from now, and tasks that a running task schedules while
+// the destructor waits to join it. A pending Submit future resolves.
+TEST(ConcurrencyTest, TaskSchedulerDestructorRunsEveryAcceptedTask) {
+  constexpr uint64_t kHourMicros = 3600ull * 1000 * 1000;
+  std::atomic<int> queued{0}, delayed{0}, spawned{0};
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  auto sched = std::make_unique<common::TaskScheduler>(1);
+  common::TaskScheduler* raw = sched.get();
+  sched->Schedule([opened, raw, &spawned] {
+    opened.wait();
+    raw->Schedule([&spawned] { spawned.fetch_add(1); });
+    raw->ScheduleAfter(kHourMicros, [&spawned] { spawned.fetch_add(1); });
+  });
+  for (int i = 0; i < 8; ++i)
+    sched->Schedule([&queued] { queued.fetch_add(1); });
+  sched->ScheduleAfter(kHourMicros, [&delayed] { delayed.fetch_add(1); });
+  common::Future<int> pending = sched->Submit([] { return 7; });
+  // Opens the gate once the destructor is (very likely) waiting on the
+  // blocker. The counts must hold even if it opens earlier.
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.set_value();
+  });
+  sched.reset();
+  opener.join();
+  EXPECT_EQ(queued.load(), 8);
+  EXPECT_EQ(delayed.load(), 1);
+  EXPECT_EQ(spawned.load(), 2);
+  EXPECT_EQ(pending.Get(), 7);
+}
 
 TEST(ConcurrencyTest, TaskSchedulerScheduleFromManyThreads) {
   common::TaskScheduler sched(3);
@@ -309,7 +426,7 @@ TEST(ConcurrencyTest, TaskSchedulerCancellationShortCircuits) {
 
 TEST(ConcurrencyTest, HierarchicalIndexCacheLoadEvict) {
   storage::ObjectStore store(storage::StorageCostModel::Instant());
-  common::ThreadPool pool(2);
+  common::TaskScheduler pool(2);
   storage::TableSchema schema = StressSchema(/*dim=*/8, /*buckets=*/0);
   storage::IngestOptions ingest;
   ingest.max_segment_rows = 50;
@@ -368,7 +485,7 @@ TEST(ConcurrencyTest, HierarchicalIndexCacheLoadEvict) {
 
 TEST(ConcurrencyTest, LsmEngineInsertSearchCompact) {
   storage::ObjectStore store(storage::StorageCostModel::Instant());
-  common::ThreadPool pool(2);
+  common::TaskScheduler pool(2);
   constexpr size_t kDim = 8;
   // CLUSTER BY buckets so the first flush trains + publishes the semantic
   // partitioner while readers are probing it (the copy-on-train path).
@@ -445,7 +562,7 @@ TEST(ConcurrencyTest, LsmEngineInsertSearchCompact) {
 // thread, so commit races flush-vs-flush and flush-vs-compaction.
 TEST(ConcurrencyTest, LsmEngineAsyncFlushCommitsEverything) {
   storage::ObjectStore store(storage::StorageCostModel::Instant());
-  common::ThreadPool pool(2);
+  common::TaskScheduler pool(2);
   constexpr size_t kDim = 4;
   storage::TableSchema schema = StressSchema(kDim, /*buckets=*/0);
   storage::IngestOptions ingest;

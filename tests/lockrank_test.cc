@@ -168,7 +168,6 @@ TEST(LockRankOrderTest, WarehouseAboveWorkerInternals) {
   // Scale events construct/destroy workers under vw->mu_, touching every
   // worker-internal lock below it.
   EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kLruCache);
-  EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kThreadPool);
   EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kTaskScheduler);
   EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kMetricsRegistry);
   EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kObjectStore);
@@ -182,11 +181,13 @@ TEST(LockRankOrderTest, CatalogIsOutermost) {
 
 TEST(LockRankOrderTest, StorageFlushAboveItsCommitLocks) {
   // flush_mu_ is held across version commits, partitioner publishes,
-  // object-store writes, pool submits, and sync latency charges.
+  // object-store writes, index-build submits and waits, and sync latency
+  // charges.
   EXPECT_GT(lockrank::kLsmFlush, lockrank::kVersionSet);
   EXPECT_GT(lockrank::kLsmFlush, lockrank::kLsmPartitioner);
   EXPECT_GT(lockrank::kLsmFlush, lockrank::kObjectStore);
-  EXPECT_GT(lockrank::kLsmFlush, lockrank::kThreadPool);
+  EXPECT_GT(lockrank::kLsmFlush, lockrank::kTaskScheduler);
+  EXPECT_GT(lockrank::kLsmFlush, lockrank::kFuture);
   EXPECT_GT(lockrank::kLsmFlush, lockrank::kSimWait);
 }
 
@@ -194,43 +195,27 @@ TEST(LockRankOrderTest, FanInAboveFutureAndLeaves) {
   // Fan-in folds complete promises (kFuture) only after release, but their
   // critical sections may touch metrics and caches.
   EXPECT_GT(lockrank::kQueryFanIn, lockrank::kFuture);
-  EXPECT_GT(lockrank::kFuture, lockrank::kThreadPool);
   EXPECT_GT(lockrank::kFuture, lockrank::kTaskScheduler);
   EXPECT_GT(lockrank::kTableStats, lockrank::kObjectStore);
   EXPECT_GT(lockrank::kTableStats, lockrank::kSimWait);
   EXPECT_GT(lockrank::kObjectStore, lockrank::kSimWait);
 }
 
-TEST(LockRankOrderTest, ShardFamiliesBelowTheirEventcounts) {
-  // The shard-per-core engine (DESIGN.md §12): each pool/scheduler worker
-  // owns a shard mutex; all siblings share one rank so the equal-rank check
-  // forbids nesting (work stealing holds at most one shard lock). The
-  // eventcount mutex of each substrate sits above its shard family — a
-  // parked thread never holds a shard lock, and Submit/Schedule release the
-  // shard before notifying.
-  EXPECT_GT(lockrank::kThreadPool, lockrank::kThreadPoolShard);
-  EXPECT_GT(lockrank::kTaskScheduler, lockrank::kSchedulerShard);
-  // The pool shard family sits above the whole scheduler substrate: a pool
-  // task may schedule completions, never the reverse while holding a shard.
-  EXPECT_GT(lockrank::kThreadPoolShard, lockrank::kTaskScheduler);
-  // Existing outer locks that submit work stay above the new shard ranks.
-  EXPECT_GT(lockrank::kLsmFlush, lockrank::kThreadPoolShard);
-  EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kThreadPoolShard);
-  EXPECT_GT(lockrank::kVirtualWarehouse, lockrank::kSchedulerShard);
-  EXPECT_GT(lockrank::kFuture, lockrank::kSchedulerShard);
-  // Shard critical sections update gauges under the lock (the queue-depth
-  // fix), so metrics must stay below both families.
-  EXPECT_GT(lockrank::kThreadPoolShard, lockrank::kMetricsRegistry);
-  EXPECT_GT(lockrank::kSchedulerShard, lockrank::kMetricsRegistry);
+TEST(LockRankOrderTest, SchedulerBelowItsSubmitters) {
+  // The one task scheduler (DESIGN.md §12): Schedule is called with outer
+  // locks held — the LsmEngine schedules index builds under flush_mu_ (see
+  // above) and background flushes under pending_mu_ — so kTaskScheduler
+  // sits below them. Its critical sections update queue gauges, so metrics
+  // stay below.
+  EXPECT_GT(lockrank::kLsmPending, lockrank::kTaskScheduler);
+  EXPECT_GT(lockrank::kTaskScheduler, lockrank::kMetricsRegistry);
 }
 
 TEST(LockRankOrderTest, RankNamesRoundTrip) {
   EXPECT_STREQ(lockrank::RankName(lockrank::kVirtualWarehouse),
                "kVirtualWarehouse(800)");
-  EXPECT_STREQ(lockrank::RankName(lockrank::kThreadPoolShard),
-               "kThreadPoolShard(195)");
-  EXPECT_STREQ(lockrank::RankName(lockrank::kSchedulerShard),
-               "kSchedulerShard(175)");
+  EXPECT_STREQ(lockrank::RankName(lockrank::kTaskScheduler),
+               "kTaskScheduler(180)");
   EXPECT_STREQ(lockrank::RankName(lockrank::kUnranked), "unranked");
   // Unknown values render numerically rather than aborting.
   EXPECT_STREQ(lockrank::RankName(123456), "rank(123456)");

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "common/threadpool.h"
+#include "common/task_scheduler.h"
 #include "common/timer.h"
 #include "storage/column.h"
 #include "storage/lsm_engine.h"
@@ -306,7 +306,7 @@ class LsmEngineTest : public ::testing::Test {
   }
 
   ObjectStore store_;
-  common::ThreadPool pool_;
+  common::TaskScheduler pool_;
 };
 
 TEST_F(LsmEngineTest, InsertFlushCommit) {

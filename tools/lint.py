@@ -35,7 +35,7 @@ enforces four concurrency/hygiene rules:
                `bh_[a-z0-9_]+` (DESIGN.md §10 naming convention): one
                namespace, lowercase snake case, so the Prometheus export
                needs no sanitization and dashboards can glob bh_*.
-  this-capture  Lambdas passed to Future::Then / ThreadPool::Submit /
+  this-capture  Lambdas passed to Future::Then / TaskScheduler::Submit /
                TaskScheduler::Schedule(/After) inside src/cluster/ must not
                capture raw `this`: the continuation can outlive the object
                during a scale-down (the use-after-free shape PR5's
