@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels under everything:
 // distance functions (per dispatch tier), batched one-vs-many scans, PQ ADC
 // lookups, SQ8 asymmetric distance, bitmap tests, consistent-hash placement,
-// and histogram selectivity estimation.
+// histogram selectivity estimation, and HNSW build / load / search at the
+// end-to-end benchmark's segment shape.
 //
 // The *Scalar variants pin the scalar table so the SIMD speedup is visible
 // in one run; the unsuffixed variants use whatever tier dispatch selected
@@ -29,6 +30,7 @@
 #include "vecindex/distance.h"
 #include "vecindex/flat_index.h"
 #include "vecindex/hnsw_index.h"
+#include "vecindex/index_factory.h"
 #include "vecindex/ivf_index.h"
 #include "vecindex/kernels/kernels.h"
 #include "vecindex/pq.h"
@@ -391,6 +393,98 @@ BENCHMARK(BM_FilteredSearchIvfFlat)
 BENCHMARK(BM_FilteredSearchHnsw)
     ->Arg(1)->Arg(10)->Arg(100)->Arg(500)->Arg(900)
     ->ArgName("sel_permille");
+
+// ---------------------------------------------------------------------------
+// HNSW build / load / search at perfbench's segment shape (DESIGN.md "HNSW
+// storage"): 96-d rows around 64 centroids, M=8, EF_CONSTRUCTION=60, ef 64.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kHnswN = 2048;
+constexpr size_t kHnswQueries = 256;
+constexpr size_t kHnswDim = 96;
+
+/// kHnswN indexed rows, then kHnswQueries held-out rows of the same clusters.
+const std::vector<float>& HnswData() {
+  static std::vector<float> data = test::MakeClusteredVectors(
+      kHnswN + kHnswQueries, kHnswDim, 64, 23, 0.5f);
+  return data;
+}
+
+const float* HnswQuery(size_t q) {
+  return HnswData().data() + (kHnswN + q % kHnswQueries) * kHnswDim;
+}
+
+std::unique_ptr<vecindex::HnswIndex> BuildBenchHnsw() {
+  vecindex::HnswOptions opts;
+  opts.M = 8;
+  opts.ef_construction = 60;
+  auto index = std::make_unique<vecindex::HnswIndex>(
+      kHnswDim, vecindex::Metric::kL2, opts);
+  auto ids = test::SequentialIds(kHnswN);
+  (void)index->AddWithIds(HnswData().data(), ids.data(), kHnswN);
+  return index;
+}
+
+const vecindex::HnswIndex& BenchHnsw() {
+  static std::unique_ptr<vecindex::HnswIndex> index = BuildBenchHnsw();
+  return *index;
+}
+
+vecindex::SearchParams HnswSearchParams() {
+  vecindex::SearchParams p;
+  p.k = 10;
+  p.ef_search = 64;
+  return p;
+}
+
+void BM_HnswBuild(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(BuildBenchHnsw());
+  state.SetItemsProcessed(state.iterations() * kHnswN);
+}
+BENCHMARK(BM_HnswBuild)->Unit(benchmark::kMillisecond);
+
+// Decode from saved bytes, as a disk- or remote-tier cache miss does; the
+// decoded index is freed inside the loop, as an eviction frees it.
+void BM_HnswLoad(benchmark::State& state) {
+  std::string saved;
+  (void)BenchHnsw().Save(&saved);
+  vecindex::IndexSpec spec;
+  spec.type = "HNSW";
+  spec.dim = kHnswDim;
+  for (auto _ : state) {
+    auto loaded = vecindex::IndexFactory::Global().CreateFromSaved(spec, saved);
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(saved.size()));
+}
+BENCHMARK(BM_HnswLoad)->Unit(benchmark::kMicrosecond);
+
+void BM_HnswSearch(benchmark::State& state) {
+  const vecindex::HnswIndex& index = BenchHnsw();
+  const vecindex::SearchParams p = HnswSearchParams();
+  size_t q = 0;
+  for (auto _ : state) {
+    auto found = index.SearchWithFilter(HnswQuery(q++), p);
+    benchmark::DoNotOptimize(found);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HnswSearch)->Unit(benchmark::kMicrosecond);
+
+// Post-filter's first step: open the native iterator, take one batch of k.
+void BM_HnswIteratorFirstBatch(benchmark::State& state) {
+  const vecindex::HnswIndex& index = BenchHnsw();
+  const vecindex::SearchParams p = HnswSearchParams();
+  size_t q = 0;
+  for (auto _ : state) {
+    auto iter = index.MakeIterator(HnswQuery(q++), p);
+    auto batch = (*iter)->Next(static_cast<size_t>(p.k));
+    benchmark::DoNotOptimize(batch);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HnswIteratorFirstBatch)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Reduced-precision scan sweep -> BENCH_micro_kernels.json (DESIGN.md §13)

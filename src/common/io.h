@@ -82,6 +82,18 @@ class BinaryReader {
     return Status::Ok();
   }
 
+  /// Copies `n` values into caller-sized memory, for layouts that allocate
+  /// once up front and then fill in place.
+  template <typename T>
+  Status ReadArray(T* out, size_t n) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (n > (in_.size() - pos_) / sizeof(T))
+      return Status::Corruption("array past end");
+    if (n > 0) std::memcpy(out, in_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+    return Status::Ok();
+  }
+
   size_t remaining() const { return in_.size() - pos_; }
 
  private:

@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
-#include <unordered_set>
 
 #include "common/assert.h"
+#include "common/bitset.h"
 #include "common/io.h"
 #include "vecindex/distance.h"
 #include "vecindex/scan_counters.h"
@@ -22,6 +23,26 @@ uint64_t NextRand(uint64_t* state) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+/// Nodes a traversal has reached: one bit per node plus a count. Each search
+/// and each iterator owns one, so concurrent searches share no state.
+class VisitedSet {
+ public:
+  explicit VisitedSet(size_t num_nodes) : bits_(num_nodes) {}
+
+  /// Marks `node`; false if it was already marked.
+  bool Insert(uint32_t node) {
+    if (bits_.Test(node)) return false;
+    bits_.Set(node);
+    ++count_;
+    return true;
+  }
+  size_t count() const { return count_; }
+
+ private:
+  common::Bitset bits_;
+  size_t count_ = 0;
+};
 }  // namespace
 
 HnswIndex::HnswIndex(size_t dim, Metric metric, HnswOptions options)
@@ -34,18 +55,16 @@ HnswIndex::HnswIndex(size_t dim, Metric metric, HnswOptions options)
       dist_(ResolveDistance(metric)) {
   BH_ASSERT_MSG(!(options_.scalar_quantized && reduced_precision()),
                 "hnsw: scalar_quantized and precision are mutually exclusive");
+  BH_ASSERT_MSG(options_.M >= 1 && options_.M <= HnswOptions::kMaxM,
+                "hnsw: M out of range");
   if (reduced_precision()) store_.Configure(options_.precision, dim_, metric_);
 }
 
 size_t HnswIndex::MemoryUsage() const {
-  size_t bytes = data_.size() * sizeof(float) + codes_.size() +
-                 ids_.size() * sizeof(IdType) + levels_.size() +
-                 store_.MemoryBytes();
-  for (const auto& node : links_) {
-    for (const auto& lvl : node) bytes += lvl.size() * sizeof(uint32_t);
-    bytes += node.size() * sizeof(std::vector<uint32_t>);
-  }
-  return bytes;
+  return data_.size() * sizeof(float) + codes_.size() +
+         ids_.size() * sizeof(IdType) + levels_.size() + store_.MemoryBytes() +
+         (level0_.size() + upper_.size() + upper_offset_.size()) *
+             sizeof(uint32_t);
 }
 
 common::Status HnswIndex::Train(const float* data, size_t n) {
@@ -117,24 +136,24 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
   std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>>
       candidates;
   std::priority_queue<Neighbor> best;
-  std::unordered_set<uint32_t> visited;
+  VisitedSet visited(ids_.size());
 
   float entry_d = DistToItem(query, entry);
   candidates.push({static_cast<IdType>(entry), entry_d});
   best.push({static_cast<IdType>(entry), entry_d});
-  visited.insert(entry);
+  visited.Insert(entry);
 
   while (!candidates.empty()) {
     Neighbor cur = candidates.top();
     if (best.size() >= ef && cur.distance > best.top().distance) break;
     candidates.pop();
-    const std::vector<uint32_t>& links =
+    std::span<const uint32_t> links =
         LinksAt(static_cast<uint32_t>(cur.id), level);
     // Pull the whole neighborhood toward the cache before the distance loop;
     // graph order is random so every expansion is a potential miss.
     for (uint32_t nb : links) PrefetchItem(nb);
     for (uint32_t nb : links) {
-      if (!visited.insert(nb).second) continue;
+      if (!visited.Insert(nb)) continue;
       float d = DistToItem(query, nb);
       if (best.size() < ef || d < best.top().distance) {
         candidates.push({static_cast<IdType>(nb), d});
@@ -208,9 +227,15 @@ void HnswIndex::InsertOne(const float* vec, IdType external_id) {
     data_.insert(data_.end(), vec, vec + dim_);
   }
 
-  size_t level = RandomLevel();
-  levels_.push_back(static_cast<uint8_t>(std::min<size_t>(level, 255)));
-  links_.emplace_back(level + 1);
+  // Clamped once, so levels_ and the node's records agree.
+  const size_t level = std::min<size_t>(RandomLevel(), 255);
+  levels_.push_back(static_cast<uint8_t>(level));
+  level0_.resize(level0_.size() + RecordWords(0));  // zeroed: no links yet
+  BH_ASSERT_MSG(upper_.size() + level * RecordWords(1) <=
+                    std::numeric_limits<uint32_t>::max(),
+                "hnsw: upper-level records overflow uint32 offsets");
+  upper_offset_.push_back(static_cast<uint32_t>(upper_.size()));
+  upper_.resize(upper_.size() + level * RecordWords(1));
 
   if (max_level_ < 0) {
     entry_point_ = node;
@@ -228,22 +253,8 @@ void HnswIndex::InsertOne(const float* vec, IdType external_id) {
         SearchLayer(vec, cur, options_.ef_construction, lvl);
     std::vector<uint32_t> neighbors =
         SelectNeighbors(vec, candidates, options_.M);
-    links_[node][lvl] = neighbors;
-    for (uint32_t nb : neighbors) {
-      std::vector<uint32_t>& back = links_[nb][lvl];
-      back.push_back(node);
-      if (back.size() > MaxLinks(lvl)) {
-        // Re-select the neighbor's edges to stay within the degree bound.
-        std::vector<Neighbor> nb_cands;
-        nb_cands.reserve(back.size());
-        std::vector<float> buf;
-        const float* nb_vec = ItemVector(nb, &buf);
-        for (uint32_t cand : back)
-          nb_cands.push_back(
-              {static_cast<IdType>(cand), DistToItem(nb_vec, cand)});
-        links_[nb][lvl] = SelectNeighbors(nb_vec, nb_cands, MaxLinks(lvl));
-      }
-    }
+    SetLinks(node, lvl, neighbors);
+    for (uint32_t nb : neighbors) AddLink(nb, lvl, node);
     if (!candidates.empty())
       cur = static_cast<uint32_t>(candidates.front().id);
   }
@@ -254,6 +265,31 @@ void HnswIndex::InsertOne(const float* vec, IdType external_id) {
   }
 }
 
+void HnswIndex::AddLink(uint32_t from, size_t level, uint32_t to) {
+  uint32_t* rec = MutableRecord(from, level);
+  if (rec[0] < MaxLinks(level)) {
+    rec[1 + rec[0]++] = to;
+    return;
+  }
+  // Full: re-select the edges to stay within the degree bound.
+  std::vector<Neighbor> cands;
+  cands.reserve(rec[0] + 1);
+  std::vector<float> buf;
+  const float* from_vec = ItemVector(from, &buf);
+  for (uint32_t cand : LinksAt(from, level))
+    cands.push_back({static_cast<IdType>(cand), DistToItem(from_vec, cand)});
+  cands.push_back({static_cast<IdType>(to), DistToItem(from_vec, to)});
+  SetLinks(from, level, SelectNeighbors(from_vec, cands, MaxLinks(level)));
+}
+
+void HnswIndex::SetLinks(uint32_t node, size_t level,
+                         const std::vector<uint32_t>& links) {
+  BH_DCHECK(links.size() <= MaxLinks(level));
+  uint32_t* rec = MutableRecord(node, level);
+  rec[0] = static_cast<uint32_t>(links.size());
+  std::copy(links.begin(), links.end(), rec + 1);
+}
+
 common::Status HnswIndex::AddWithIds(const float* data, const IdType* ids,
                                      size_t n) {
   if (options_.scalar_quantized && !sq_.trained())
@@ -261,7 +297,9 @@ common::Status HnswIndex::AddWithIds(const float* data, const IdType* ids,
   if (reduced_precision() && !store_.calibrated()) store_.Train(data, n);
   size_t expected = ids_.size() + n;
   ids_.reserve(expected);
-  links_.reserve(expected);
+  levels_.reserve(expected);
+  level0_.reserve(expected * RecordWords(0));
+  upper_offset_.reserve(expected);
   if (!options_.scalar_quantized && !reduced_precision())
     data_.reserve(expected * dim_);
   for (size_t i = 0; i < n; ++i) InsertOne(data + i * dim_, ids[i]);
@@ -319,14 +357,15 @@ class HnswSearchIterator : public SearchIterator {
                      SearchParams params)
       : index_(index),
         query_(query, query + index->Dim()),
-        params_(params) {
+        params_(params),
+        visited_(index->Size()) {
     if (index_->Size() == 0) return;
     uint32_t entry = index_->GreedyDescend(
         query_.data(), index_->entry_point_,
         static_cast<size_t>(index_->max_level_), 0);
     float d = index_->DistToItem(query_.data(), entry);
     frontier_.push({static_cast<IdType>(entry), d});
-    visited_.insert(entry);
+    visited_.Insert(entry);
     // Explore at least ef nodes before the first yield: pure best-first from
     // a single entry misses neighbors that hide behind slightly-farther hops
     // (the same reason beam search uses ef > k).
@@ -363,9 +402,9 @@ class HnswSearchIterator : public SearchIterator {
     return out;
   }
 
-  size_t VisitedCount() const override { return visited_.size(); }
+  size_t VisitedCount() const override { return visited_.count(); }
   Stats GetStats() const override {
-    return {visited_.size(), batches_, /*recompute_rounds=*/0};
+    return {visited_.count(), batches_, /*recompute_rounds=*/0};
   }
 
  private:
@@ -374,10 +413,10 @@ class HnswSearchIterator : public SearchIterator {
     Neighbor cur = frontier_.top();
     frontier_.pop();
     uint32_t node = static_cast<uint32_t>(cur.id);
-    const std::vector<uint32_t>& links = index_->LinksAt(node, 0);
+    std::span<const uint32_t> links = index_->LinksAt(node, 0);
     for (uint32_t nb : links) index_->PrefetchItem(nb);
     for (uint32_t nb : links) {
-      if (!visited_.insert(nb).second) continue;
+      if (!visited_.Insert(nb)) continue;
       frontier_.push(
           {static_cast<IdType>(nb), index_->DistToItem(query_.data(), nb)});
     }
@@ -393,7 +432,7 @@ class HnswSearchIterator : public SearchIterator {
   // Settled nodes not yet returned, in distance order.
   std::priority_queue<Neighbor, std::vector<Neighbor>, std::greater<>>
       ready_;
-  std::unordered_set<uint32_t> visited_;
+  VisitedSet visited_;
   size_t batches_ = 0;
 };
 
@@ -428,10 +467,17 @@ common::Status HnswIndex::Save(std::string* out) const {
   } else {
     w.WriteVector(data_);
   }
-  w.Write<uint64_t>(links_.size());
-  for (const auto& node : links_) {
-    w.Write<uint32_t>(static_cast<uint32_t>(node.size()));
-    for (const auto& lvl : node) w.WriteVector(lvl);
+  // Per node: its level count, then per level a uint64 link count and only
+  // the filled links. Indexes already in object stores use this format, so
+  // it does not follow the in-memory records.
+  w.Write<uint64_t>(ids_.size());
+  for (uint32_t node = 0; node < ids_.size(); ++node) {
+    w.Write<uint32_t>(levels_[node] + 1u);
+    for (size_t lvl = 0; lvl <= levels_[node]; ++lvl) {
+      std::span<const uint32_t> links = LinksAt(node, lvl);
+      w.Write<uint64_t>(links.size());
+      for (uint32_t nb : links) w.Write(nb);
+    }
   }
   return common::Status::Ok();
 }
@@ -452,6 +498,8 @@ common::Status HnswIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&precision));
   if (precision > static_cast<uint8_t>(Precision::kInt8))
     return common::Status::Corruption("hnsw: bad precision tag");
+  if (m == 0 || m > HnswOptions::kMaxM)
+    return common::Status::Corruption("hnsw: M out of range");
   dim_ = dim;
   metric_ = static_cast<Metric>(metric);
   dist_ = ResolveDistance(metric_);
@@ -477,17 +525,53 @@ common::Status HnswIndex::Load(std::string_view in) {
   } else {
     BH_RETURN_IF_ERROR(r.ReadVector(&data_));
   }
+  const size_t n = ids_.size();
+  if (levels_.size() != n)
+    return common::Status::Corruption("hnsw: level count mismatch");
+  // Divide instead of multiplying: n * dim can wrap on a corrupt dim.
+  const size_t stored =
+      options_.scalar_quantized ? codes_.size() : data_.size();
+  if (!reduced_precision() &&
+      (n == 0 ? stored != 0 : (stored % n != 0 || stored / n != dim_)))
+    return common::Status::Corruption("hnsw: vector array length mismatch");
   uint64_t num_nodes = 0;
   BH_RETURN_IF_ERROR(r.Read(&num_nodes));
-  if (num_nodes != ids_.size())
+  if (num_nodes != n)
     return common::Status::Corruption("hnsw: node count mismatch");
-  links_.assign(num_nodes, {});
-  for (auto& node : links_) {
+
+  // Size the records once from levels_, then copy each in with one read.
+  upper_offset_.resize(n);
+  uint64_t upper_words = 0;
+  for (size_t node = 0; node < n; ++node) {
+    upper_offset_[node] = static_cast<uint32_t>(upper_words);
+    upper_words += uint64_t{levels_[node]} * RecordWords(1);
+    if (upper_words > std::numeric_limits<uint32_t>::max())
+      return common::Status::Corruption("hnsw: graph too large");
+  }
+  level0_.assign(n * RecordWords(0), 0);
+  upper_.assign(upper_words, 0);
+  for (uint32_t node = 0; node < n; ++node) {
     uint32_t num_levels = 0;
     BH_RETURN_IF_ERROR(r.Read(&num_levels));
-    node.resize(num_levels);
-    for (auto& lvl : node) BH_RETURN_IF_ERROR(r.ReadVector(&lvl));
+    if (num_levels != levels_[node] + 1u)
+      return common::Status::Corruption("hnsw: node level mismatch");
+    for (size_t lvl = 0; lvl < num_levels; ++lvl) {
+      uint64_t count = 0;
+      BH_RETURN_IF_ERROR(r.Read(&count));
+      if (count > MaxLinks(lvl))
+        return common::Status::Corruption("hnsw: too many links");
+      uint32_t* rec = MutableRecord(node, lvl);
+      rec[0] = static_cast<uint32_t>(count);
+      BH_RETURN_IF_ERROR(r.ReadArray(rec + 1, count));
+      // A link must name a node that has a record at this level.
+      for (uint32_t nb : LinksAt(node, lvl))
+        if (nb >= n || levels_[nb] < lvl)
+          return common::Status::Corruption("hnsw: dangling link");
+    }
   }
+  if (n == 0 ? max_level_ != -1
+             : (entry_point_ >= n || max_level_ != levels_[entry_point_]))
+    return common::Status::Corruption("hnsw: bad entry point");
   return common::Status::Ok();
 }
 

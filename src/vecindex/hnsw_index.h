@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,9 @@
 namespace blendhouse::vecindex {
 
 struct HnswOptions {
-  /// Max links per node on upper levels; level 0 keeps 2*M.
+  /// Largest accepted M: M sizes every node's fixed-width link records.
+  static constexpr size_t kMaxM = 4096;
+  /// Max links per node on upper levels; level 0 keeps 2*M. In [1, kMaxM].
   size_t M = 16;
   /// Beam width during construction.
   size_t ef_construction = 200;
@@ -102,13 +105,30 @@ class HnswIndex : public VectorIndex {
                                         size_t m) const;
 
   void InsertOne(const float* vec, IdType external_id);
+  /// Appends `to` to `from`'s links at `level`; when they are full,
+  /// re-selects them from the current links, in order, then `to`.
+  void AddLink(uint32_t from, size_t level, uint32_t to);
+  void SetLinks(uint32_t node, size_t level,
+                const std::vector<uint32_t>& links);
 
   size_t RandomLevel();
-  const std::vector<uint32_t>& LinksAt(uint32_t node, size_t level) const {
-    return links_[node][level];
-  }
   size_t MaxLinks(size_t level) const {
     return level == 0 ? options_.M * 2 : options_.M;
+  }
+  /// Words in one adjacency record: a link count, then MaxLinks slots.
+  size_t RecordWords(size_t level) const { return 1 + MaxLinks(level); }
+  /// Offset of `node`'s record at `level` in level0_ (level 0) or upper_.
+  size_t RecordOffset(uint32_t node, size_t level) const {
+    return level == 0 ? size_t{node} * RecordWords(0)
+                      : upper_offset_[node] + (level - 1) * RecordWords(1);
+  }
+  uint32_t* MutableRecord(uint32_t node, size_t level) {
+    return (level == 0 ? level0_ : upper_).data() + RecordOffset(node, level);
+  }
+  std::span<const uint32_t> LinksAt(uint32_t node, size_t level) const {
+    const uint32_t* rec =
+        (level == 0 ? level0_ : upper_).data() + RecordOffset(node, level);
+    return {rec + 1, rec[0]};
   }
 
   size_t dim_;
@@ -127,7 +147,12 @@ class HnswIndex : public VectorIndex {
   PrecisionStore store_;
 
   std::vector<IdType> ids_;
-  std::vector<std::vector<std::vector<uint32_t>>> links_;  // [node][level]
+  // Adjacency in fixed-width records (DESIGN.md "HNSW storage"): level 0 is
+  // one record of 1 + 2M words per node; levels 1..levels_[node] are
+  // consecutive records of 1 + M words in upper_ from upper_offset_[node].
+  std::vector<uint32_t> level0_;
+  std::vector<uint32_t> upper_;
+  std::vector<uint32_t> upper_offset_;
   std::vector<uint8_t> levels_;
   uint32_t entry_point_ = 0;
   int max_level_ = -1;

@@ -45,7 +45,10 @@ common::Result<VectorIndexPtr> BuildFlat(const IndexSpec& spec) {
 
 common::Result<VectorIndexPtr> BuildHnsw(const IndexSpec& spec, bool sq) {
   HnswOptions opts;
-  opts.M = static_cast<size_t>(spec.GetInt("M", 16));
+  const int64_t m = spec.GetInt("M", 16);
+  if (m < 1 || m > static_cast<int64_t>(HnswOptions::kMaxM))
+    return common::Status::InvalidArgument("hnsw: M must be in [1, 4096]");
+  opts.M = static_cast<size_t>(m);
   opts.ef_construction =
       static_cast<size_t>(spec.GetInt("EF_CONSTRUCTION", 200));
   opts.seed = static_cast<uint64_t>(spec.GetInt("SEED", 42));

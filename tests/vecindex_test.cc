@@ -799,6 +799,137 @@ TEST(HnswIndexTest, IteratorReachesDeepResults) {
   EXPECT_GE(total, 900u);  // HNSW graphs are connected: nearly all reachable
 }
 
+TEST(HnswIndexTest, LoadRejectsInconsistentGraph) {
+  // Each case patches a saved index so that it still parses but names a node
+  // or a row that does not exist. Load must refuse it, not leave the first
+  // search to read out of bounds.
+  const size_t n = 200, dim = 16;
+  auto data = MakeClusteredVectors(n, dim, 4, 91);
+  auto ids = SequentialIds(n);
+  HnswOptions opts;
+  opts.M = 8;
+  opts.ef_construction = 60;
+  HnswIndex index(dim, Metric::kL2, opts);
+  ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), n).ok());
+  std::string good;
+  ASSERT_TRUE(index.Save(&good).ok());
+  auto load = [&](const std::string& bytes) {
+    HnswIndex fresh(dim, Metric::kL2, opts);
+    return fresh.Load(bytes);
+  };
+  ASSERT_TRUE(load(good).ok());
+
+  // Offsets follow HnswIndex::Save for an fp32 index of type "HNSW":
+  // type string, dim, metric, M, ef_construction, SQ flag, precision tag.
+  const size_t entry_at = 8 + 4 + 8 + 4 + 8 + 8 + 1 + 1;
+  const size_t data_len_at =  // entry point, max level, ids, levels
+      entry_at + 4 + 4 + (8 + sizeof(IdType) * n) + (8 + n);
+  const size_t graph_at = data_len_at + 8 + sizeof(float) * n * dim;
+  // Node count, node 0's level count, node 0's level-0 link count.
+  const size_t first_link_at = graph_at + 8 + 4 + 8;
+  auto read_u64 = [&](size_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, good.data() + at, sizeof v);
+    return v;
+  };
+  ASSERT_EQ(read_u64(data_len_at), n * dim);
+  ASSERT_EQ(read_u64(graph_at), n);
+  ASSERT_GT(read_u64(first_link_at - 8), 0u);
+  auto patched = [&](size_t at, uint32_t v) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + at, &v, sizeof v);
+    return bytes;
+  };
+  const auto kCorruption = common::Status::Code::kCorruption;
+
+  common::Status link = load(patched(first_link_at, 1000000));
+  EXPECT_EQ(link.code(), kCorruption) << link.ToString();
+
+  common::Status entry = load(patched(entry_at, 1000000));
+  EXPECT_EQ(entry.code(), kCorruption) << entry.ToString();
+
+  // One row short: drop the last row's floats and shrink the length prefix
+  // to match, so everything after still parses.
+  std::string short_rows = good;
+  const uint64_t fewer = (n - 1) * dim;
+  std::memcpy(short_rows.data() + data_len_at, &fewer, sizeof fewer);
+  short_rows.erase(graph_at - sizeof(float) * dim, sizeof(float) * dim);
+  common::Status rows = load(short_rows);
+  EXPECT_EQ(rows.code(), kCorruption) << rows.ToString();
+}
+
+TEST(HnswIndexTest, SaveLoadSaveIsByteIdentical) {
+  // Load rebuilds the link records from the saved lists: saving the loaded
+  // index must give the same bytes, and searching it the same results.
+  const size_t n = 1500;
+  auto data = MakeClusteredVectors(n, kDim, 10, 93);
+  auto ids = SequentialIds(n);
+  common::Bitset allowed(n);
+  for (size_t i = 0; i < n; i += 3) allowed.Set(i);
+  for (const char* type : {"HNSW", "HNSWSQ", "HNSW:int8"}) {
+    SCOPED_TRACE(type);
+    VectorIndexPtr built = MakeIndex(type, kDim);
+    if (built->NeedsTraining())
+      ASSERT_TRUE(built->Train(data.data(), n).ok());
+    ASSERT_TRUE(built->AddWithIds(data.data(), ids.data(), n).ok());
+    std::string saved;
+    ASSERT_TRUE(built->Save(&saved).ok());
+    VectorIndexPtr loaded = MakeIndex(type, kDim);
+    ASSERT_TRUE(loaded->Load(saved).ok());
+    std::string resaved;
+    ASSERT_TRUE(loaded->Save(&resaved).ok());
+    EXPECT_TRUE(saved == resaved) << saved.size() << " vs " << resaved.size();
+
+    SearchParams p;
+    p.k = 10;
+    p.ef_search = 64;
+    for (const common::Bitset* filter : {static_cast<common::Bitset*>(nullptr),
+                                         &allowed}) {
+      p.filter = filter;
+      for (size_t q = 0; q < 20; ++q) {
+        const float* query = data.data() + (q * 73 % n) * kDim;
+        auto want = built->SearchWithFilter(query, p);
+        auto got = loaded->SearchWithFilter(query, p);
+        ASSERT_TRUE(want.ok() && got.ok());
+        ASSERT_EQ(want->size(), got->size()) << q;
+        for (size_t i = 0; i < want->size(); ++i) {
+          EXPECT_EQ((*want)[i].id, (*got)[i].id) << q;
+          EXPECT_EQ((*want)[i].distance, (*got)[i].distance) << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(HnswIndexTest, IteratorDrainVisitsEachNodeOnce) {
+  // Sizes straddle the visited bitmap's 64-bit word edges. A drained
+  // iterator yields every node it visited, so the two counts must agree.
+  for (size_t n : {1, 63, 64, 65, 1000}) {
+    SCOPED_TRACE(n);
+    auto data = MakeClusteredVectors(n, 16, 4, 97);
+    auto ids = SequentialIds(n);
+    HnswOptions opts;
+    opts.M = 8;
+    opts.ef_construction = 60;
+    HnswIndex index(16, Metric::kL2, opts);
+    ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), n).ok());
+    SearchParams p;
+    p.k = 10;
+    auto iter = std::move(*index.MakeIterator(data.data() + n / 2 * 16, p));
+    std::set<IdType> seen;
+    size_t yielded = 0;
+    for (auto batch = iter->Next(50); !batch.empty(); batch = iter->Next(50)) {
+      for (const Neighbor& nb : batch)
+        EXPECT_TRUE(seen.insert(nb.id).second) << "duplicate id " << nb.id;
+      yielded += batch.size();
+    }
+    EXPECT_GE(yielded, 1u);
+    EXPECT_LE(yielded, n);
+    EXPECT_EQ(iter->GetStats().rows_visited, yielded);
+    EXPECT_EQ(iter->VisitedCount(), yielded);
+  }
+}
+
 TEST(IvfIndexTest, MoreProbesImproveRecall) {
   auto data = MakeClusteredVectors(2000, kDim, 16, 61);
   IvfOptions opts;
@@ -913,6 +1044,25 @@ TEST(IndexFactoryTest, ZeroDimRejected) {
   spec.type = "FLAT";
   auto r = IndexFactory::Global().Create(spec);
   EXPECT_FALSE(r.ok());
+}
+
+TEST(IndexFactoryTest, HnswMOutOfRangeRejected) {
+  // M sizes every node's link records, so the factory bounds it.
+  for (const char* m : {"0", "-1", "4097"}) {
+    for (const char* type : {"HNSW", "HNSWSQ"}) {
+      IndexSpec spec;
+      spec.type = type;
+      spec.dim = 8;
+      spec.params["M"] = m;
+      auto r = IndexFactory::Global().Create(spec);
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << type << " M=" << m;
+    }
+  }
+  IndexSpec spec;
+  spec.type = "HNSW";
+  spec.dim = 8;
+  spec.params["M"] = "4096";
+  EXPECT_TRUE(IndexFactory::Global().Create(spec).ok());
 }
 
 TEST(IndexSpecTest, GetIntParsesAndDefaults) {
