@@ -130,7 +130,7 @@ void BM_BatchCosineWithNorms(benchmark::State& state) {
 BENCHMARK(BM_BatchCosineWithNorms)->Arg(96)->Arg(768);
 
 // One first-pass scan chunk through the reduced-precision store (the per-
-// chunk work FLAT/IVF scans issue at fp16/bf16/int8; DESIGN.md §13).
+// chunk work FLAT/IVF scans issue at fp16/int8; DESIGN.md §13).
 void BM_StoreBatchDistance(benchmark::State& state) {
   size_t dim = static_cast<size_t>(state.range(0));
   auto precision = static_cast<vecindex::Precision>(state.range(1));
@@ -150,20 +150,8 @@ void BM_StoreBatchDistance(benchmark::State& state) {
   state.SetLabel(vecindex::PrecisionName(precision));
 }
 BENCHMARK(BM_StoreBatchDistance)
-    ->ArgsProduct({{96, 768}, {1, 2, 3}})  // precision: fp16, bf16, int8
+    ->ArgsProduct({{96, 768}, {1, 3}})  // precision: fp16, int8
     ->ArgNames({"dim", "precision"});
-
-void BM_SqAsymmetricDistance(benchmark::State& state) {
-  size_t dim = static_cast<size_t>(state.range(0));
-  auto data = test::MakeClusteredVectors(256, dim, 4, 2);
-  vecindex::ScalarQuantizer sq;
-  (void)sq.Train(data.data(), 256, dim);
-  std::vector<uint8_t> code(dim);
-  sq.Encode(data.data() + dim, code.data());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sq.L2SqrToCode(data.data(), code.data()));
-}
-BENCHMARK(BM_SqAsymmetricDistance)->Arg(96)->Arg(768);
 
 void BM_PqAdcDistance(benchmark::State& state) {
   size_t dim = 96, m = 12;
@@ -553,7 +541,7 @@ double MeasureScanRowsPerSec(vecindex::Precision p, vecindex::Metric m,
   return static_cast<double>(iters * kBatchRows) / timer.ElapsedSeconds();
 }
 
-/// Sweeps all four precisions x metrics x dims, prints the table, writes
+/// Sweeps fp32/fp16/int8 x metrics x dims, prints the table, writes
 /// BENCH_micro_kernels.json, and (under BH_BENCH_ASSERT=1) gates on the
 /// two-tier pipeline's premise: at least one of int8/fp16 must scan >= 1.5x
 /// faster than fp32 at dim 768.
@@ -565,9 +553,9 @@ bool RunReducedPrecisionSweep() {
   } kMetrics[] = {{vecindex::Metric::kL2, "l2"},
                   {vecindex::Metric::kInnerProduct, "ip"},
                   {vecindex::Metric::kCosine, "cosine"}};
-  const vecindex::Precision kPrecisions[] = {
-      vecindex::Precision::kFp32, vecindex::Precision::kFp16,
-      vecindex::Precision::kBf16, vecindex::Precision::kInt8};
+  const vecindex::Precision kPrecisions[] = {vecindex::Precision::kFp32,
+                                             vecindex::Precision::kFp16,
+                                             vecindex::Precision::kInt8};
 
   std::vector<SweepEntry> entries;
   std::printf("\nReduced-precision scan sweep (rows/s, batch=%zu):\n",
@@ -619,9 +607,8 @@ bool RunReducedPrecisionSweep() {
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"speedup_vs_fp32_l2_768\": {\"fp16\": %.3f, "
-                 "\"bf16\": %.3f, \"int8\": %.3f}\n",
+                 "\"int8\": %.3f}\n",
                  speedup(vecindex::Precision::kFp16, "l2", 768),
-                 speedup(vecindex::Precision::kBf16, "l2", 768),
                  speedup(vecindex::Precision::kInt8, "l2", 768));
     std::fprintf(f, "}\n");
     std::fclose(f);

@@ -2,11 +2,11 @@
 // (production-stand-in) dataset.
 //
 // Expected shape (paper): HNSW > HNSWSQ (~2.5x smaller) > IVFPQFS (~6.5x
-// smaller) — SQ8 quarters the vector payload; PQ keeps only short codes.
-// The reduced-precision sweep (DESIGN.md §13) shows the same lever on the
-// first-pass tier: fp16/bf16 halve and int8 quarters the vector payload,
-// with the exact fp32 copies living in cold segment storage for the
-// executor's rerank, not in the index.
+// smaller) — HNSWSQ is HNSW over int8 codes, which quarter the vector
+// payload; PQ keeps only short codes. The reduced-precision sweep
+// (DESIGN.md §13) shows the same lever on the first-pass tier: fp16 halves
+// and int8 quarters the vector payload, with the exact fp32 copies living
+// in cold segment storage for the executor's rerank, not in the index.
 
 #include <cstdio>
 
@@ -64,7 +64,7 @@ int main() {
   // row is where the 4x storage win must show.
   std::printf("\n%-14s %12s %10s\n", "Index", "Size (MB)", "vs fp32");
   double flat_fp32 = 0, flat_int8 = 0;
-  for (const char* precision : {"FP32", "FP16", "BF16", "INT8"}) {
+  for (const char* precision : {"FP32", "FP16", "INT8"}) {
     auto index =
         BuildIndex("FLAT", precision, dim, data.data(), ids.data(), n);
     if (index == nullptr) return 1;
@@ -74,7 +74,7 @@ int main() {
     std::printf("FLAT-%-9s %12.1f %9.2fx\n", precision, mb, mb / flat_fp32);
   }
   double hnsw_fp32 = 0;
-  for (const char* precision : {"FP32", "FP16", "BF16", "INT8"}) {
+  for (const char* precision : {"FP32", "FP16", "INT8"}) {
     auto index =
         BuildIndex("HNSW", precision, dim, data.data(), ids.data(), n);
     if (index == nullptr) return 1;

@@ -30,9 +30,9 @@ struct QueryLedger {
   /// Rows whose distance to the query was actually computed, across all
   /// tiers (brute-force survivors, index scan visits, graph hops, reranks).
   uint64_t rows_scanned = 0;
-  /// Distance computations per storage-precision tier, indexed by
-  /// vecindex::Precision (fp32, fp16, bf16, int8).
-  uint64_t distance_comps[4] = {0, 0, 0, 0};
+  /// Distance computations per storage-precision tier: fp32, fp16, int8
+  /// (vecindex::scanstats::TierSlot).
+  uint64_t distance_comps[3] = {0, 0, 0};
   /// Exact-tier rerank rows of the two-tier quantized scan (DESIGN.md §13).
   uint64_t fp32_rerank_rows = 0;
 
@@ -52,8 +52,7 @@ struct QueryLedger {
   uint64_t retries = 0;
 
   uint64_t total_distance_comps() const {
-    return distance_comps[0] + distance_comps[1] + distance_comps[2] +
-           distance_comps[3];
+    return distance_comps[0] + distance_comps[1] + distance_comps[2];
   }
 
   /// Folds another ledger's tallies into this one (per-segment results,
@@ -63,7 +62,7 @@ struct QueryLedger {
     compute_micros += o.compute_micros;
     sim_io_micros += o.sim_io_micros;
     rows_scanned += o.rows_scanned;
-    for (size_t i = 0; i < 4; ++i) distance_comps[i] += o.distance_comps[i];
+    for (size_t i = 0; i < 3; ++i) distance_comps[i] += o.distance_comps[i];
     fp32_rerank_rows += o.fp32_rerank_rows;
     iter_batches += o.iter_batches;
     iter_rows_visited += o.iter_rows_visited;

@@ -366,7 +366,6 @@ common::Result<sql::QueryResult> BlendHouse::QuerySystemTable(
          {"rows_scanned", ColumnType::kInt64},
          {"dist_fp32", ColumnType::kInt64},
          {"dist_fp16", ColumnType::kInt64},
-         {"dist_bf16", ColumnType::kInt64},
          {"dist_int8", ColumnType::kInt64},
          {"fp32_rerank_rows", ColumnType::kInt64},
          {"iter_batches", ColumnType::kInt64},
@@ -400,7 +399,6 @@ common::Result<sql::QueryResult> BlendHouse::QuerySystemTable(
                     static_cast<int64_t>(l.distance_comps[0]),
                     static_cast<int64_t>(l.distance_comps[1]),
                     static_cast<int64_t>(l.distance_comps[2]),
-                    static_cast<int64_t>(l.distance_comps[3]),
                     static_cast<int64_t>(l.fp32_rerank_rows),
                     static_cast<int64_t>(l.iter_batches),
                     static_cast<int64_t>(l.iter_rows_visited),
@@ -687,7 +685,6 @@ common::Status BlendHouse::ApplySetting(const sql::SetStmt& stmt) {
       {"ef_search", &s.ef_search},
       {"nprobe", &s.nprobe},
       {"refine_factor", &s.refine_factor},
-      {"rerank_depth", &s.rerank_depth},
   };
   if (auto it = int_knobs.find(name); it != int_knobs.end()) {
     auto v = as_int();
@@ -714,7 +711,6 @@ common::Status BlendHouse::ApplySetting(const sql::SetStmt& stmt) {
       {"use_granule_pruning", &s.use_granule_pruning},
       {"use_plan_cache", &s.use_plan_cache},
       {"short_circuit", &s.short_circuit},
-      {"use_native_iterators", &s.use_native_iterators},
   };
   if (auto it = bool_knobs.find(name); it != bool_knobs.end()) {
     auto v = as_int();
@@ -746,7 +742,7 @@ common::Status BlendHouse::ApplySetting(const sql::SetStmt& stmt) {
     const std::string* v = std::get_if<std::string>(&stmt.value);
     if (v == nullptr)
       return common::Status::InvalidArgument(
-          "SET distance_precision expects a name (fp32/fp16/bf16/int8)");
+          "SET distance_precision expects a name (fp32/fp16/int8)");
     vecindex::Precision p;
     if (!vecindex::ParsePrecision(*v, &p))
       return common::Status::InvalidArgument("unknown precision: " + *v);

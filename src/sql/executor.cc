@@ -15,7 +15,6 @@
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
 #include "vecindex/distance.h"
-#include "vecindex/generic_iterator.h"
 #include "vecindex/scan_counters.h"
 
 namespace blendhouse::sql {
@@ -537,16 +536,16 @@ Executor::SegmentTaskResult Executor::RunSegment(
 
   // Two-tier quantized scan (DESIGN.md §13): when the acquired index stores
   // reduced-precision codes, its first pass returns approximate distances
-  // over a widened top-k (up to settings.rerank_depth survivors), and this
-  // task reranks them in fp32 from the segment's vector column below. The
-  // range bound is deferred to the exact distances.
+  // for k * refine_factor survivors (the sigma * k of the cost model and of
+  // IVFPQ's refine), and this task reranks them in fp32 from the segment's
+  // vector column below. The range bound is deferred to the exact
+  // distances.
+  const size_t refine_k = k * static_cast<size_t>(
+                                  std::max(1, settings.refine_factor));
   bool rerank_fp32 = false;
   auto widen_for_rerank = [&](const vecindex::VectorIndex& index) {
     if (index.StoragePrecision() == vecindex::Precision::kFp32) return;
-    size_t depth = std::min<size_t>(
-        static_cast<size_t>(std::max(1, settings.rerank_depth)),
-        meta.num_rows);
-    params.k = static_cast<int>(std::max(k, depth));
+    params.k = static_cast<int>(refine_k);
     rerank_fp32 = true;
   };
 
@@ -745,19 +744,11 @@ Executor::SegmentTaskResult Executor::RunSegment(
       }
       // Native resumable iterators retain search state across Next() calls
       // (cached score array / probe cursor / beam frontier), so refills
-      // extend the search instead of restarting it; use_native_iterators
-      // false forces the generic restart wrapper for A/B comparison.
-      const bool native = settings.use_native_iterators &&
-                          acquired->index->HasNativeIterator();
-      auto iter = [&]() -> common::Result<
-                            std::unique_ptr<vecindex::SearchIterator>> {
-        if (settings.use_native_iterators)
-          return acquired->index->MakeIterator(bound.query_vector.data(),
-                                               params);
-        return std::unique_ptr<vecindex::SearchIterator>(
-            std::make_unique<vecindex::GenericSearchIterator>(
-                acquired->index.get(), bound.query_vector.data(), params));
-      }();
+      // extend the search instead of restarting it; indexes without one
+      // hand back the generic restart wrapper.
+      const bool native = acquired->index->HasNativeIterator();
+      auto iter = acquired->index->MakeIterator(bound.query_vector.data(),
+                                                params);
       if (!iter.ok()) {
         result.status = iter.status();
         return result;
@@ -766,8 +757,7 @@ Executor::SegmentTaskResult Executor::RunSegment(
         span->SetTag("iterator", native ? "native" : "generic");
       storage::SegmentPtr segment;  // fetched lazily, only if needed
       std::optional<PredicateEvaluator> eval;
-      size_t batch_size =
-          std::max<size_t>(k, k * std::max(1, settings.refine_factor));
+      const size_t batch_size = refine_k;
       size_t found = 0;
       // A native iterator only moves forward, so exhaustion (empty batch)
       // is its natural stop and no round cap is needed. The restart wrapper

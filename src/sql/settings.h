@@ -20,10 +20,9 @@ struct QuerySettings {
   // ---- Reduced-precision pipeline (DESIGN.md §13) ----
   /// Default storage precision injected into CREATE TABLE index specs that
   /// don't set PRECISION themselves (`SET distance_precision = 'int8'`).
+  /// A reduced-precision segment's first pass keeps k * refine_factor
+  /// survivors for the exact fp32 rerank.
   vecindex::Precision distance_precision = vecindex::Precision::kFp32;
-  /// Survivors of a quantized first pass that get exact fp32 rerank per
-  /// segment; the first-pass k is widened to min(rerank_depth, rows).
-  int rerank_depth = 4096;
 
   // ---- Cost-based optimization (Fig. 15) ----
   bool use_cbo = true;
@@ -53,12 +52,6 @@ struct QuerySettings {
 
   // ---- Disaggregation behaviour (Fig. 11/18) ----
   cluster::AcquireOptions acquire;
-
-  /// Serve post-filter refills from each index's native resumable iterator
-  /// when it has one (retained search state, no restart). Off forces the
-  /// generic restart-with-doubled-k wrapper everywhere — the A/B toggle the
-  /// postfilter_iterator bench flips.
-  bool use_native_iterators = true;
 
   /// Refill rounds bound for the post-filter loop when it is served by the
   /// generic restart wrapper (each round re-searches from scratch, so the

@@ -25,8 +25,6 @@ std::string PrecisionName(Precision p) {
       return "FP32";
     case Precision::kFp16:
       return "FP16";
-    case Precision::kBf16:
-      return "BF16";
     case Precision::kInt8:
       return "INT8";
   }
@@ -42,8 +40,6 @@ bool ParsePrecision(const std::string& name, Precision* out) {
     *out = Precision::kFp32;
   } else if (up == "FP16" || up == "FLOAT16" || up == "HALF") {
     *out = Precision::kFp16;
-  } else if (up == "BF16" || up == "BFLOAT16") {
-    *out = Precision::kBf16;
   } else if (up == "INT8" || up == "I8") {
     *out = Precision::kInt8;
   } else {
@@ -52,12 +48,22 @@ bool ParsePrecision(const std::string& name, Precision* out) {
   return true;
 }
 
+bool PrecisionFromTag(uint8_t tag, Precision* out) {
+  switch (tag) {
+    case static_cast<uint8_t>(Precision::kFp32):
+    case static_cast<uint8_t>(Precision::kFp16):
+    case static_cast<uint8_t>(Precision::kInt8):
+      *out = static_cast<Precision>(tag);
+      return true;
+  }
+  return false;
+}
+
 size_t PrecisionBytes(Precision p) {
   switch (p) {
     case Precision::kFp32:
       return 4;
     case Precision::kFp16:
-    case Precision::kBf16:
       return 2;
     case Precision::kInt8:
       return 1;

@@ -263,15 +263,14 @@ common::Status FlatIndex::Load(std::string_view in) {
   if (type != Type()) return common::Status::Corruption("flat: wrong type tag");
   uint64_t dim = 0;
   uint32_t metric = 0;
-  uint8_t precision = 0;
+  uint8_t precision_tag = 0;
   BH_RETURN_IF_ERROR(r.Read(&dim));
   BH_RETURN_IF_ERROR(r.Read(&metric));
-  BH_RETURN_IF_ERROR(r.Read(&precision));
-  if (precision > static_cast<uint8_t>(Precision::kInt8))
+  BH_RETURN_IF_ERROR(r.Read(&precision_tag));
+  if (!PrecisionFromTag(precision_tag, &precision_))
     return common::Status::Corruption("flat: bad precision tag");
   dim_ = dim;
   metric_ = static_cast<Metric>(metric);
-  precision_ = static_cast<Precision>(precision);
   dist_ = ResolveDistance(metric_);
   data_.clear();
   norms_.clear();

@@ -21,7 +21,7 @@ namespace blendhouse::vecindex {
 /// a dot product per row.
 ///
 /// With a reduced `precision` (DESIGN.md §13) the raw floats are never
-/// kept: rows live only as packed fp16/bf16/int8 codes in a
+/// kept: rows live only as packed fp16/int8 codes in a
 /// PrecisionStore, every scan path runs the batched reduced-precision
 /// kernels over the codes, and the executor reranks survivors in fp32
 /// from the segment's vector column.

@@ -53,27 +53,21 @@ HnswIndex::HnswIndex(size_t dim, Metric metric, HnswOptions options)
                             std::max<size_t>(2, options.M)))),
       rng_state_(options.seed),
       dist_(ResolveDistance(metric)) {
-  BH_ASSERT_MSG(!(options_.scalar_quantized && reduced_precision()),
-                "hnsw: scalar_quantized and precision are mutually exclusive");
   BH_ASSERT_MSG(options_.M >= 1 && options_.M <= HnswOptions::kMaxM,
                 "hnsw: M out of range");
   if (reduced_precision()) store_.Configure(options_.precision, dim_, metric_);
 }
 
 size_t HnswIndex::MemoryUsage() const {
-  return data_.size() * sizeof(float) + codes_.size() +
-         ids_.size() * sizeof(IdType) + levels_.size() + store_.MemoryBytes() +
+  return data_.size() * sizeof(float) + ids_.size() * sizeof(IdType) +
+         levels_.size() + store_.MemoryBytes() +
          (level0_.size() + upper_.size() + upper_offset_.size()) *
              sizeof(uint32_t);
 }
 
 common::Status HnswIndex::Train(const float* data, size_t n) {
-  if (reduced_precision()) {
-    store_.Train(data, n);  // fixes the int8 scale; no-op for fp16/bf16
-    return common::Status::Ok();
-  }
-  if (!options_.scalar_quantized) return common::Status::Ok();
-  return sq_.Train(data, n, dim_);
+  if (reduced_precision()) store_.Train(data, n);  // fixes the int8 scale
+  return common::Status::Ok();
 }
 
 float HnswIndex::DistToItem(const float* query, uint32_t pos) const {
@@ -82,22 +76,9 @@ float HnswIndex::DistToItem(const float* query, uint32_t pos) const {
     // code directly — per-hop work, so no batching tier here.
     return store_.DistanceToRow(query, pos);
   }
-  // Per-hop fp32 (or fused-SQ8, which decodes into an fp32 accumulation —
-  // same tier for ledger purposes) distance; the reduced-precision branch
-  // above is charged inside PrecisionStore.
+  // Per-hop fp32 distance; the reduced-precision branch above is charged
+  // inside PrecisionStore.
   scanstats::AddFp32(1);
-  if (options_.scalar_quantized) {
-    const uint8_t* code = codes_.data() + size_t{pos} * dim_;
-    switch (metric_) {
-      case Metric::kL2:
-        return sq_.L2SqrToCode(query, code);
-      case Metric::kInnerProduct:
-        return -sq_.DotToCode(query, code);
-      case Metric::kCosine:
-        return sq_.CosineToCode(query, code,
-                                std::sqrt(SquaredNorm(query, dim_)));
-    }
-  }
   return dist_(query, data_.data() + size_t{pos} * dim_, dim_);
 }
 
@@ -173,14 +154,9 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
 
 const float* HnswIndex::ItemVector(uint32_t pos,
                                    std::vector<float>* buf) const {
-  if (reduced_precision()) {
-    buf->resize(dim_);
-    store_.Decode(pos, buf->data());
-    return buf->data();
-  }
-  if (!options_.scalar_quantized) return data_.data() + size_t{pos} * dim_;
+  if (!reduced_precision()) return data_.data() + size_t{pos} * dim_;
   buf->resize(dim_);
-  sq_.Decode(codes_.data() + size_t{pos} * dim_, buf->data());
+  store_.Decode(pos, buf->data());
   return buf->data();
 }
 
@@ -220,9 +196,6 @@ void HnswIndex::InsertOne(const float* vec, IdType external_id) {
   ids_.push_back(external_id);
   if (reduced_precision()) {
     store_.Append(vec, 1);  // codes only — no fp32 copy
-  } else if (options_.scalar_quantized) {
-    codes_.resize(codes_.size() + dim_);
-    sq_.Encode(vec, codes_.data() + size_t{node} * dim_);
   } else {
     data_.insert(data_.end(), vec, vec + dim_);
   }
@@ -292,15 +265,16 @@ void HnswIndex::SetLinks(uint32_t node, size_t level,
 
 common::Status HnswIndex::AddWithIds(const float* data, const IdType* ids,
                                      size_t n) {
-  if (options_.scalar_quantized && !sq_.trained())
-    BH_RETURN_IF_ERROR(sq_.Train(data, n, dim_));
+  // The int8 scale is calibrated on the whole batch, not its first row.
   if (reduced_precision() && !store_.calibrated()) store_.Train(data, n);
   size_t expected = ids_.size() + n;
   ids_.reserve(expected);
   levels_.reserve(expected);
   level0_.reserve(expected * RecordWords(0));
   upper_offset_.reserve(expected);
-  if (!options_.scalar_quantized && !reduced_precision())
+  if (reduced_precision())
+    store_.Reserve(expected);
+  else
     data_.reserve(expected * dim_);
   for (size_t i = 0; i < n; ++i) InsertOne(data + i * dim_, ids[i]);
   return common::Status::Ok();
@@ -453,7 +427,8 @@ common::Status HnswIndex::Save(std::string* out) const {
   w.Write<uint32_t>(static_cast<uint32_t>(metric_));
   w.Write<uint64_t>(options_.M);
   w.Write<uint64_t>(options_.ef_construction);
-  w.Write<uint8_t>(options_.scalar_quantized ? 1 : 0);
+  // Retired SQ8 flag: always 0, kept so saved bytes stay stable.
+  w.Write<uint8_t>(0);
   w.Write<uint8_t>(static_cast<uint8_t>(options_.precision));
   w.Write<uint32_t>(entry_point_);
   w.Write<int32_t>(max_level_);
@@ -461,9 +436,6 @@ common::Status HnswIndex::Save(std::string* out) const {
   w.WriteVector(levels_);
   if (reduced_precision()) {
     store_.Serialize(&w);
-  } else if (options_.scalar_quantized) {
-    sq_.Serialize(&w);
-    w.WriteVector(codes_);
   } else {
     w.WriteVector(data_);
   }
@@ -489,14 +461,17 @@ common::Status HnswIndex::Load(std::string_view in) {
   uint64_t dim = 0, m = 0, efc = 0;
   uint32_t metric = 0;
   uint8_t sq_flag = 0;
-  uint8_t precision = 0;
+  uint8_t precision_tag = 0;
   BH_RETURN_IF_ERROR(r.Read(&dim));
   BH_RETURN_IF_ERROR(r.Read(&metric));
   BH_RETURN_IF_ERROR(r.Read(&m));
   BH_RETURN_IF_ERROR(r.Read(&efc));
   BH_RETURN_IF_ERROR(r.Read(&sq_flag));
-  BH_RETURN_IF_ERROR(r.Read(&precision));
-  if (precision > static_cast<uint8_t>(Precision::kInt8))
+  BH_RETURN_IF_ERROR(r.Read(&precision_tag));
+  // A set SQ8 flag marks the retired per-dimension SQ8 storage form.
+  if (sq_flag != 0)
+    return common::Status::Corruption("hnsw: retired SQ8 storage");
+  if (!PrecisionFromTag(precision_tag, &options_.precision))
     return common::Status::Corruption("hnsw: bad precision tag");
   if (m == 0 || m > HnswOptions::kMaxM)
     return common::Status::Corruption("hnsw: M out of range");
@@ -505,10 +480,6 @@ common::Status HnswIndex::Load(std::string_view in) {
   dist_ = ResolveDistance(metric_);
   options_.M = m;
   options_.ef_construction = efc;
-  options_.scalar_quantized = sq_flag != 0;
-  options_.precision = static_cast<Precision>(precision);
-  if (options_.scalar_quantized && reduced_precision())
-    return common::Status::Corruption("hnsw: conflicting quantization tags");
   if (type != Type()) return common::Status::Corruption("hnsw: type mismatch");
   BH_RETURN_IF_ERROR(r.Read(&entry_point_));
   BH_RETURN_IF_ERROR(r.Read(&max_level_));
@@ -519,9 +490,6 @@ common::Status HnswIndex::Load(std::string_view in) {
     if (store_.precision() != options_.precision || store_.dim() != dim_ ||
         store_.size() != ids_.size())
       return common::Status::Corruption("hnsw: store mismatch");
-  } else if (options_.scalar_quantized) {
-    BH_RETURN_IF_ERROR(sq_.Deserialize(&r));
-    BH_RETURN_IF_ERROR(r.ReadVector(&codes_));
   } else {
     BH_RETURN_IF_ERROR(r.ReadVector(&data_));
   }
@@ -529,8 +497,7 @@ common::Status HnswIndex::Load(std::string_view in) {
   if (levels_.size() != n)
     return common::Status::Corruption("hnsw: level count mismatch");
   // Divide instead of multiplying: n * dim can wrap on a corrupt dim.
-  const size_t stored =
-      options_.scalar_quantized ? codes_.size() : data_.size();
+  const size_t stored = data_.size();
   if (!reduced_precision() &&
       (n == 0 ? stored != 0 : (stored % n != 0 || stored / n != dim_)))
     return common::Status::Corruption("hnsw: vector array length mismatch");

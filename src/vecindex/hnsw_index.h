@@ -21,13 +21,10 @@ struct HnswOptions {
   /// Beam width during construction.
   size_t ef_construction = 200;
   uint64_t seed = 42;
-  /// Store SQ8 codes instead of raw floats (the paper's HNSWSQ type:
-  /// ~4x smaller, slightly lower recall).
-  bool scalar_quantized = false;
-  /// Reduced-precision storage (DESIGN.md §13): keep only fp16/bf16/int8
-  /// codes and walk the graph with the asymmetric reduced-precision
-  /// kernels; the executor reranks survivors in fp32. Mutually exclusive
-  /// with scalar_quantized.
+  /// Reduced-precision storage (DESIGN.md §13): keep only fp16/int8 codes
+  /// and walk the graph with the asymmetric reduced-precision kernels; the
+  /// executor reranks survivors in fp32. int8 is the paper's HNSWSQ
+  /// (~4x smaller, slightly lower recall before the rerank).
   Precision precision = Precision::kFp32;
 };
 
@@ -40,9 +37,7 @@ class HnswIndex : public VectorIndex {
  public:
   HnswIndex(size_t dim, Metric metric, HnswOptions options = {});
 
-  std::string Type() const override {
-    return options_.scalar_quantized ? "HNSWSQ" : "HNSW";
-  }
+  std::string Type() const override { return "HNSW"; }
   size_t Dim() const override { return dim_; }
   Metric GetMetric() const override { return metric_; }
   Precision StoragePrecision() const override { return options_.precision; }
@@ -50,7 +45,7 @@ class HnswIndex : public VectorIndex {
   size_t MemoryUsage() const override;
 
   common::Status Train(const float* data, size_t n) override;
-  bool NeedsTraining() const override { return options_.scalar_quantized; }
+  bool NeedsTraining() const override { return false; }
   common::Status AddWithIds(const float* data, const IdType* ids,
                             size_t n) override;
   common::Status Save(std::string* out) const override;
@@ -67,9 +62,8 @@ class HnswIndex : public VectorIndex {
  private:
   friend class HnswSearchIterator;
 
-  /// Distance from a query vector to stored item `pos`. SQ codes go through
-  /// the fused dequantize+accumulate kernels — no decode buffer, including
-  /// the IP/Cosine-over-SQ paths.
+  /// Distance from a query vector to stored item `pos`. Reduced-precision
+  /// codes go through the asymmetric kernels — no decode buffer.
   float DistToItem(const float* query, uint32_t pos) const;
 
   bool reduced_precision() const {
@@ -81,8 +75,6 @@ class HnswIndex : public VectorIndex {
   void PrefetchItem(uint32_t pos) const {
     if (reduced_precision())
       kernels::Prefetch(store_.RowPtr(pos));
-    else if (options_.scalar_quantized)
-      kernels::Prefetch(codes_.data() + size_t{pos} * dim_);
     else
       kernels::Prefetch(data_.data() + size_t{pos} * dim_);
   }
@@ -138,12 +130,9 @@ class HnswIndex : public VectorIndex {
   uint64_t rng_state_;
   DistanceFn dist_;  // resolved once; re-resolved on Load
 
-  // Raw float storage (non-quantized) or SQ8 codes (quantized).
+  /// Raw floats when options_.precision is kFp32, else empty.
   common::AlignedVector<float> data_;
-  std::vector<uint8_t> codes_;
-  ScalarQuantizer sq_;
-  /// Packed fp16/bf16/int8 codes when options_.precision != kFp32; the
-  /// other storage forms stay empty then.
+  /// Packed fp16/int8 codes when options_.precision != kFp32, else empty.
   PrecisionStore store_;
 
   std::vector<IdType> ids_;

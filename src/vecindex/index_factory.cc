@@ -23,7 +23,7 @@ int64_t IndexSpec::GetInt(const std::string& key, int64_t def) const {
 
 namespace {
 
-/// Parses the optional PRECISION parameter ("fp16" / "bf16" / "int8",
+/// Parses the optional PRECISION parameter ("fp16" / "int8",
 /// defaulting to fp32). Unknown names are a hard error: silently falling
 /// back to fp32 would quietly lose the memory and throughput the user
 /// asked for.
@@ -43,6 +43,9 @@ common::Result<VectorIndexPtr> BuildFlat(const IndexSpec& spec) {
       std::make_unique<FlatIndex>(spec.dim, spec.metric, *precision));
 }
 
+/// HNSWSQ (the paper's HNSW over 8-bit scalar codes) is an alias: HNSW over
+/// the int8 PrecisionStore, reranked in fp32 by the executor like any other
+/// reduced-precision index. It saves and loads as HNSW.
 common::Result<VectorIndexPtr> BuildHnsw(const IndexSpec& spec, bool sq) {
   HnswOptions opts;
   const int64_t m = spec.GetInt("M", 16);
@@ -52,13 +55,16 @@ common::Result<VectorIndexPtr> BuildHnsw(const IndexSpec& spec, bool sq) {
   opts.ef_construction =
       static_cast<size_t>(spec.GetInt("EF_CONSTRUCTION", 200));
   opts.seed = static_cast<uint64_t>(spec.GetInt("SEED", 42));
-  opts.scalar_quantized = sq;
   auto precision = GetPrecision(spec);
   if (!precision.ok()) return precision.status();
   opts.precision = *precision;
-  if (sq && opts.precision != Precision::kFp32)
-    return common::Status::InvalidArgument(
-        "hnswsq: PRECISION conflicts with SQ8 codes");
+  if (sq) {
+    if (spec.params.count("PRECISION") > 0 &&
+        opts.precision != Precision::kInt8)
+      return common::Status::InvalidArgument(
+          "hnswsq: PRECISION must be INT8 or unset");
+    opts.precision = Precision::kInt8;
+  }
   return VectorIndexPtr(std::make_unique<HnswIndex>(spec.dim, spec.metric, opts));
 }
 

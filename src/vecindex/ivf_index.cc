@@ -329,17 +329,16 @@ common::Status IvfFlatIndex::Load(std::string_view in) {
   if (type != Type()) return common::Status::Corruption("ivfflat: wrong type");
   uint64_t dim = 0, nlist = 0, size = 0;
   uint32_t metric = 0;
-  uint8_t precision = 0;
+  uint8_t precision_tag = 0;
   BH_RETURN_IF_ERROR(r.Read(&dim));
   BH_RETURN_IF_ERROR(r.Read(&metric));
-  BH_RETURN_IF_ERROR(r.Read(&precision));
-  if (precision > static_cast<uint8_t>(Precision::kInt8))
+  BH_RETURN_IF_ERROR(r.Read(&precision_tag));
+  if (!PrecisionFromTag(precision_tag, &precision_))
     return common::Status::Corruption("ivfflat: bad precision tag");
   BH_RETURN_IF_ERROR(r.Read(&nlist));
   BH_RETURN_IF_ERROR(r.Read(&size));
   dim_ = dim;
   metric_ = static_cast<Metric>(metric);
-  precision_ = static_cast<Precision>(precision);
   options_.nlist = nlist;
   size_ = size;
   BH_RETURN_IF_ERROR(r.ReadVector(&centroids_));

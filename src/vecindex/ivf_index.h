@@ -110,7 +110,7 @@ class IvfIndexBase : public VectorIndex {
 
 /// IVF with full-precision vectors in the postings — or, with a reduced
 /// `precision` (DESIGN.md §13), per-list PrecisionStores of packed
-/// fp16/bf16/int8 codes scanned by the batched reduced-precision kernels.
+/// fp16/int8 codes scanned by the batched reduced-precision kernels.
 /// All list stores share one int8 scale calibrated from the train sample,
 /// no fp32 copies are retained, and the executor reranks survivors exactly.
 class IvfFlatIndex : public IvfIndexBase {

@@ -31,20 +31,6 @@ using DistFn = float (*)(const float* a, const float* b, size_t dim);
 using BatchDistFn = void (*)(const float* query, const float* base, size_t n,
                              size_t dim, float* out);
 
-/// SQ8 asymmetric kernel: float query vs uint8 code with per-dimension
-/// affine dequantization decoded[d] = vmin[d] + code[d] * vscale[d], fused
-/// into the accumulation (no materialized float copy).
-using Sq8DistFn = float (*)(const float* query, const uint8_t* code,
-                            const float* vmin, const float* vscale,
-                            size_t dim);
-
-/// Fused SQ8 dot + squared norm of the decoded vector in one pass; feeds
-/// cosine-over-SQ without a decode buffer.
-using Sq8DotNormFn = void (*)(const float* query, const uint8_t* code,
-                              const float* vmin, const float* vscale,
-                              size_t dim, float* dot_out,
-                              float* norm_sqr_out);
-
 /// PQ ADC lookup: sum of table[s * ks + code[s]] over the m subspaces.
 using PqAdcFn = float (*)(const float* table, const uint8_t* code, size_t m,
                           size_t ks);
@@ -55,19 +41,19 @@ using PqAdcBatchFn = void (*)(const float* table, const uint8_t* codes,
 
 // ---- Reduced-precision kernels (DESIGN.md §13) -----------------------------
 //
-// fp16/bf16 kernels are asymmetric: the query stays fp32 (it arrives once
-// per search; narrowing it buys nothing) and the packed base side holds
-// 16-bit codes widened to fp32 in registers. int8 comes in two shapes: a
+// fp16 kernels are asymmetric: the query stays fp32 (it arrives once per
+// search; narrowing it buys nothing) and the packed base side holds fp16
+// codes widened to fp32 in registers. int8 comes in two shapes: a
 // symmetric i8 x i8 integer kernel for batch scans (the VNNI dot-product
 // idiom — the query is quantized once per search) and an asymmetric
 // fp32 x int8 kernel for graph walks, where the fp32 query keeps hop
 // ordering stable without a per-hop decode buffer.
 
-/// fp32 query vs one packed 16-bit (fp16 or bf16) base vector.
+/// fp32 query vs one packed fp16 base vector.
 using HalfDistFn = float (*)(const float* query, const uint16_t* code,
                              size_t dim);
 
-/// One fp32 query against n packed 16-bit rows (row stride = dim).
+/// One fp32 query against n packed fp16 rows (row stride = dim).
 using HalfBatchFn = void (*)(const float* query, const uint16_t* base,
                              size_t n, size_t dim, float* out);
 
@@ -98,19 +84,12 @@ struct KernelTable {
   DistFn cosine = nullptr;
   BatchDistFn batch_l2sqr = nullptr;
   BatchDistFn batch_inner_product = nullptr;
-  Sq8DistFn sq8_l2sqr = nullptr;
-  Sq8DistFn sq8_inner_product = nullptr;
-  Sq8DotNormFn sq8_dot_norm = nullptr;
   PqAdcFn pq_adc = nullptr;
   PqAdcBatchFn pq_adc_batch = nullptr;
   HalfDistFn fp16_l2sqr = nullptr;
   HalfDistFn fp16_inner_product = nullptr;
   HalfBatchFn batch_fp16_l2sqr = nullptr;
   HalfBatchFn batch_fp16_inner_product = nullptr;
-  HalfDistFn bf16_l2sqr = nullptr;
-  HalfDistFn bf16_inner_product = nullptr;
-  HalfBatchFn batch_bf16_l2sqr = nullptr;
-  HalfBatchFn batch_bf16_inner_product = nullptr;
   I8AsymDistFn i8_asym_l2sqr = nullptr;
   I8AsymDistFn i8_asym_dot = nullptr;
   I8DistFn i8_l2sqr = nullptr;
@@ -119,7 +98,7 @@ struct KernelTable {
   I8BatchFn batch_i8_dot = nullptr;
 };
 
-// ---- fp16 / bf16 scalar conversions ----------------------------------------
+// ---- fp16 scalar conversions -----------------------------------------------
 //
 // Bit-twiddled (no compiler half-float extension) so every tier — including
 // plain scalar — encodes and decodes with identical results. Encoding
@@ -176,18 +155,6 @@ inline uint16_t FloatToFp16(float f) {
   // (65504.x -> inf included).
   if (rem > 0x1000u || (rem == 0x1000u && (h & 1u))) ++h;
   return static_cast<uint16_t>(sign | h);
-}
-
-inline float Bf16ToFloat(uint16_t h) {
-  return __builtin_bit_cast(float, static_cast<uint32_t>(h) << 16);
-}
-
-inline uint16_t FloatToBf16(float f) {
-  uint32_t x = __builtin_bit_cast(uint32_t, f);
-  if ((x & 0x7fffffffu) > 0x7f800000u)
-    return static_cast<uint16_t>((x >> 16) | 0x0040u);  // quieten nan
-  uint32_t rounding = 0x7fffu + ((x >> 16) & 1u);
-  return static_cast<uint16_t>((x + rounding) >> 16);
 }
 
 // ---- Dispatch --------------------------------------------------------------

@@ -179,68 +179,6 @@ void BatchInnerProductAvx2(const float* query, const float* base, size_t n,
   for (; i < n; ++i) out[i] = InnerProductAvx2(query, base + i * dim, dim);
 }
 
-/// Dequantizes 8 SQ8 codes into floats: vmin + float(code) * vscale.
-inline __m256 DecodeSq8(const uint8_t* code, const float* vmin,
-                        const float* vscale) {
-  __m128i bytes =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(code));
-  __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-  return _mm256_fmadd_ps(f, _mm256_loadu_ps(vscale), _mm256_loadu_ps(vmin));
-}
-
-float Sq8L2SqrAvx2(const float* query, const uint8_t* code, const float* vmin,
-                   const float* vscale, size_t dim) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(query + d),
-                                DecodeSq8(code + d, vmin + d, vscale + d));
-    acc = _mm256_fmadd_ps(diff, diff, acc);
-  }
-  float sum = Reduce8(acc);
-  for (; d < dim; ++d) {
-    float decoded = vmin[d] + static_cast<float>(code[d]) * vscale[d];
-    float diff = query[d] - decoded;
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-float Sq8InnerProductAvx2(const float* query, const uint8_t* code,
-                          const float* vmin, const float* vscale,
-                          size_t dim) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8)
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(query + d),
-                          DecodeSq8(code + d, vmin + d, vscale + d), acc);
-  float sum = Reduce8(acc);
-  for (; d < dim; ++d)
-    sum += query[d] * (vmin[d] + static_cast<float>(code[d]) * vscale[d]);
-  return sum;
-}
-
-void Sq8DotNormAvx2(const float* query, const uint8_t* code,
-                    const float* vmin, const float* vscale, size_t dim,
-                    float* dot_out, float* norm_sqr_out) {
-  __m256 dot = _mm256_setzero_ps();
-  __m256 norm = _mm256_setzero_ps();
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    __m256 decoded = DecodeSq8(code + d, vmin + d, vscale + d);
-    dot = _mm256_fmadd_ps(_mm256_loadu_ps(query + d), decoded, dot);
-    norm = _mm256_fmadd_ps(decoded, decoded, norm);
-  }
-  float sdot = Reduce8(dot), snorm = Reduce8(norm);
-  for (; d < dim; ++d) {
-    float decoded = vmin[d] + static_cast<float>(code[d]) * vscale[d];
-    sdot += query[d] * decoded;
-    snorm += decoded * decoded;
-  }
-  *dot_out = sdot;
-  *norm_sqr_out = snorm;
-}
-
 float PqAdcAvx2(const float* table, const uint8_t* code, size_t m,
                 size_t ks) {
   __m256 acc = _mm256_setzero_ps();
@@ -273,74 +211,58 @@ void PqAdcBatchAvx2(const float* table, const uint8_t* codes, size_t n,
 
 // ---- Reduced-precision kernels ---------------------------------------------
 //
-// The 16-bit kernels are templated on a loader struct so fp16 (F16C
-// vcvtph2ps) and bf16 (zero-extend + shift) share one loop body; the
-// instantiations are what lands in the table.
+// fp16 rows widen eight halves per load through F16C vcvtph2ps; scalar
+// tails use the bit-exact Fp16ToFloat.
 
-struct Fp16LoadAvx2 {
-  static inline __m256 Load8(const uint16_t* p) {
-    return _mm256_cvtph_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-  }
-  static inline float Load1(uint16_t v) { return Fp16ToFloat(v); }
-};
+inline __m256 LoadFp16x8(const uint16_t* p) {
+  return _mm256_cvtph_ps(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
 
-struct Bf16LoadAvx2 {
-  static inline __m256 Load8(const uint16_t* p) {
-    __m128i u = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    return _mm256_castsi256_ps(
-        _mm256_slli_epi32(_mm256_cvtepu16_epi32(u), 16));
-  }
-  static inline float Load1(uint16_t v) { return Bf16ToFloat(v); }
-};
-
-template <typename Load>
 float HalfL2SqrAvx2(const float* query, const uint16_t* code, size_t dim) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 16 <= dim; i += 16) {
-    __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(query + i), Load::Load8(code + i));
+    __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(query + i), LoadFp16x8(code + i));
     acc0 = _mm256_fmadd_ps(d0, d0, acc0);
     __m256 d1 =
-        _mm256_sub_ps(_mm256_loadu_ps(query + i + 8), Load::Load8(code + i + 8));
+        _mm256_sub_ps(_mm256_loadu_ps(query + i + 8), LoadFp16x8(code + i + 8));
     acc1 = _mm256_fmadd_ps(d1, d1, acc1);
   }
   for (; i + 8 <= dim; i += 8) {
-    __m256 d = _mm256_sub_ps(_mm256_loadu_ps(query + i), Load::Load8(code + i));
+    __m256 d = _mm256_sub_ps(_mm256_loadu_ps(query + i), LoadFp16x8(code + i));
     acc0 = _mm256_fmadd_ps(d, d, acc0);
   }
   float acc = Reduce8(_mm256_add_ps(acc0, acc1));
   for (; i < dim; ++i) {
-    float d = query[i] - Load::Load1(code[i]);
+    float d = query[i] - Fp16ToFloat(code[i]);
     acc += d * d;
   }
   return acc;
 }
 
-template <typename Load>
 float HalfInnerProductAvx2(const float* query, const uint16_t* code,
                            size_t dim) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 16 <= dim; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i), Load::Load8(code + i),
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i), LoadFp16x8(code + i),
                            acc0);
     acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i + 8),
-                           Load::Load8(code + i + 8), acc1);
+                           LoadFp16x8(code + i + 8), acc1);
   }
   for (; i + 8 <= dim; i += 8)
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i), Load::Load8(code + i),
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i), LoadFp16x8(code + i),
                            acc0);
   float acc = Reduce8(_mm256_add_ps(acc0, acc1));
-  for (; i < dim; ++i) acc += query[i] * Load::Load1(code[i]);
+  for (; i < dim; ++i) acc += query[i] * Fp16ToFloat(code[i]);
   return acc;
 }
 
 // 4-way register-blocked 16-bit batches; same shape as the fp32 batches but
 // the rows stream at half the bandwidth — which is the whole point.
-template <typename Load>
 void HalfBatchL2SqrAvx2(const float* query, const uint16_t* base, size_t n,
                         size_t dim, float* out) {
   size_t i = 0;
@@ -360,21 +282,21 @@ void HalfBatchL2SqrAvx2(const float* query, const uint16_t* base, size_t n,
     size_t d = 0;
     for (; d + 8 <= dim; d += 8) {
       __m256 q = _mm256_loadu_ps(query + d);
-      __m256 d0 = _mm256_sub_ps(Load::Load8(r0 + d), q);
+      __m256 d0 = _mm256_sub_ps(LoadFp16x8(r0 + d), q);
       a0 = _mm256_fmadd_ps(d0, d0, a0);
-      __m256 d1 = _mm256_sub_ps(Load::Load8(r1 + d), q);
+      __m256 d1 = _mm256_sub_ps(LoadFp16x8(r1 + d), q);
       a1 = _mm256_fmadd_ps(d1, d1, a1);
-      __m256 d2 = _mm256_sub_ps(Load::Load8(r2 + d), q);
+      __m256 d2 = _mm256_sub_ps(LoadFp16x8(r2 + d), q);
       a2 = _mm256_fmadd_ps(d2, d2, a2);
-      __m256 d3 = _mm256_sub_ps(Load::Load8(r3 + d), q);
+      __m256 d3 = _mm256_sub_ps(LoadFp16x8(r3 + d), q);
       a3 = _mm256_fmadd_ps(d3, d3, a3);
     }
     float s0 = Reduce8(a0), s1 = Reduce8(a1), s2 = Reduce8(a2),
           s3 = Reduce8(a3);
     for (; d < dim; ++d) {
       float q = query[d];
-      float e0 = Load::Load1(r0[d]) - q, e1 = Load::Load1(r1[d]) - q;
-      float e2 = Load::Load1(r2[d]) - q, e3 = Load::Load1(r3[d]) - q;
+      float e0 = Fp16ToFloat(r0[d]) - q, e1 = Fp16ToFloat(r1[d]) - q;
+      float e2 = Fp16ToFloat(r2[d]) - q, e3 = Fp16ToFloat(r3[d]) - q;
       s0 += e0 * e0;
       s1 += e1 * e1;
       s2 += e2 * e2;
@@ -386,10 +308,9 @@ void HalfBatchL2SqrAvx2(const float* query, const uint16_t* base, size_t n,
     out[i + 3] = s3;
   }
   for (; i < n; ++i)
-    out[i] = HalfL2SqrAvx2<Load>(query, base + i * dim, dim);
+    out[i] = HalfL2SqrAvx2(query, base + i * dim, dim);
 }
 
-template <typename Load>
 void HalfBatchInnerProductAvx2(const float* query, const uint16_t* base,
                                size_t n, size_t dim, float* out) {
   size_t i = 0;
@@ -409,19 +330,19 @@ void HalfBatchInnerProductAvx2(const float* query, const uint16_t* base,
     size_t d = 0;
     for (; d + 8 <= dim; d += 8) {
       __m256 q = _mm256_loadu_ps(query + d);
-      a0 = _mm256_fmadd_ps(Load::Load8(r0 + d), q, a0);
-      a1 = _mm256_fmadd_ps(Load::Load8(r1 + d), q, a1);
-      a2 = _mm256_fmadd_ps(Load::Load8(r2 + d), q, a2);
-      a3 = _mm256_fmadd_ps(Load::Load8(r3 + d), q, a3);
+      a0 = _mm256_fmadd_ps(LoadFp16x8(r0 + d), q, a0);
+      a1 = _mm256_fmadd_ps(LoadFp16x8(r1 + d), q, a1);
+      a2 = _mm256_fmadd_ps(LoadFp16x8(r2 + d), q, a2);
+      a3 = _mm256_fmadd_ps(LoadFp16x8(r3 + d), q, a3);
     }
     float s0 = Reduce8(a0), s1 = Reduce8(a1), s2 = Reduce8(a2),
           s3 = Reduce8(a3);
     for (; d < dim; ++d) {
       float q = query[d];
-      s0 += Load::Load1(r0[d]) * q;
-      s1 += Load::Load1(r1[d]) * q;
-      s2 += Load::Load1(r2[d]) * q;
-      s3 += Load::Load1(r3[d]) * q;
+      s0 += Fp16ToFloat(r0[d]) * q;
+      s1 += Fp16ToFloat(r1[d]) * q;
+      s2 += Fp16ToFloat(r2[d]) * q;
+      s3 += Fp16ToFloat(r3[d]) * q;
     }
     out[i + 0] = s0;
     out[i + 1] = s1;
@@ -429,7 +350,7 @@ void HalfBatchInnerProductAvx2(const float* query, const uint16_t* base,
     out[i + 3] = s3;
   }
   for (; i < n; ++i)
-    out[i] = HalfInnerProductAvx2<Load>(query, base + i * dim, dim);
+    out[i] = HalfInnerProductAvx2(query, base + i * dim, dim);
 }
 
 /// Decodes 8 int8 codes to fp32 (no scale applied).
@@ -543,19 +464,12 @@ const KernelTable& Avx2Table() {
       .cosine = CosineAvx2,
       .batch_l2sqr = BatchL2SqrAvx2,
       .batch_inner_product = BatchInnerProductAvx2,
-      .sq8_l2sqr = Sq8L2SqrAvx2,
-      .sq8_inner_product = Sq8InnerProductAvx2,
-      .sq8_dot_norm = Sq8DotNormAvx2,
       .pq_adc = PqAdcAvx2,
       .pq_adc_batch = PqAdcBatchAvx2,
-      .fp16_l2sqr = HalfL2SqrAvx2<Fp16LoadAvx2>,
-      .fp16_inner_product = HalfInnerProductAvx2<Fp16LoadAvx2>,
-      .batch_fp16_l2sqr = HalfBatchL2SqrAvx2<Fp16LoadAvx2>,
-      .batch_fp16_inner_product = HalfBatchInnerProductAvx2<Fp16LoadAvx2>,
-      .bf16_l2sqr = HalfL2SqrAvx2<Bf16LoadAvx2>,
-      .bf16_inner_product = HalfInnerProductAvx2<Bf16LoadAvx2>,
-      .batch_bf16_l2sqr = HalfBatchL2SqrAvx2<Bf16LoadAvx2>,
-      .batch_bf16_inner_product = HalfBatchInnerProductAvx2<Bf16LoadAvx2>,
+      .fp16_l2sqr = HalfL2SqrAvx2,
+      .fp16_inner_product = HalfInnerProductAvx2,
+      .batch_fp16_l2sqr = HalfBatchL2SqrAvx2,
+      .batch_fp16_inner_product = HalfBatchInnerProductAvx2,
       .i8_asym_l2sqr = I8AsymL2SqrAvx2,
       .i8_asym_dot = I8AsymDotAvx2,
       .i8_l2sqr = I8L2SqrAvx2,

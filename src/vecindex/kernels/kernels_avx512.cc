@@ -181,73 +181,6 @@ void BatchInnerProductAvx512(const float* query, const float* base, size_t n,
   for (; i < n; ++i) out[i] = InnerProductAvx512(query, base + i * dim, dim);
 }
 
-/// Dequantizes 16 SQ8 codes under mask k: vmin + float(code) * vscale.
-inline __m512 DecodeSq8(const uint8_t* code, const float* vmin,
-                        const float* vscale, __mmask16 k) {
-  __m128i bytes = _mm_maskz_loadu_epi8(k, code);
-  __m512 f = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(bytes));
-  return _mm512_fmadd_ps(f, _mm512_maskz_loadu_ps(k, vscale),
-                         _mm512_maskz_loadu_ps(k, vmin));
-}
-
-float Sq8L2SqrAvx512(const float* query, const uint8_t* code,
-                     const float* vmin, const float* vscale, size_t dim) {
-  __m512 acc = _mm512_setzero_ps();
-  size_t d = 0;
-  for (; d + 16 <= dim; d += 16) {
-    __m512 diff =
-        _mm512_sub_ps(_mm512_loadu_ps(query + d),
-                      DecodeSq8(code + d, vmin + d, vscale + d, 0xffff));
-    acc = _mm512_fmadd_ps(diff, diff, acc);
-  }
-  if (d < dim) {
-    __mmask16 k = TailMask(dim - d);
-    __m512 diff =
-        _mm512_sub_ps(_mm512_maskz_loadu_ps(k, query + d),
-                      DecodeSq8(code + d, vmin + d, vscale + d, k));
-    acc = _mm512_fmadd_ps(diff, diff, acc);
-  }
-  return _mm512_reduce_add_ps(acc);
-}
-
-float Sq8InnerProductAvx512(const float* query, const uint8_t* code,
-                            const float* vmin, const float* vscale,
-                            size_t dim) {
-  __m512 acc = _mm512_setzero_ps();
-  size_t d = 0;
-  for (; d + 16 <= dim; d += 16)
-    acc = _mm512_fmadd_ps(_mm512_loadu_ps(query + d),
-                          DecodeSq8(code + d, vmin + d, vscale + d, 0xffff),
-                          acc);
-  if (d < dim) {
-    __mmask16 k = TailMask(dim - d);
-    acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(k, query + d),
-                          DecodeSq8(code + d, vmin + d, vscale + d, k), acc);
-  }
-  return _mm512_reduce_add_ps(acc);
-}
-
-void Sq8DotNormAvx512(const float* query, const uint8_t* code,
-                      const float* vmin, const float* vscale, size_t dim,
-                      float* dot_out, float* norm_sqr_out) {
-  __m512 dot = _mm512_setzero_ps();
-  __m512 norm = _mm512_setzero_ps();
-  size_t d = 0;
-  for (; d + 16 <= dim; d += 16) {
-    __m512 decoded = DecodeSq8(code + d, vmin + d, vscale + d, 0xffff);
-    dot = _mm512_fmadd_ps(_mm512_loadu_ps(query + d), decoded, dot);
-    norm = _mm512_fmadd_ps(decoded, decoded, norm);
-  }
-  if (d < dim) {
-    __mmask16 k = TailMask(dim - d);
-    __m512 decoded = DecodeSq8(code + d, vmin + d, vscale + d, k);
-    dot = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(k, query + d), decoded, dot);
-    norm = _mm512_fmadd_ps(decoded, decoded, norm);
-  }
-  *dot_out = _mm512_reduce_add_ps(dot);
-  *norm_sqr_out = _mm512_reduce_add_ps(norm);
-}
-
 float PqAdcAvx512(const float* table, const uint8_t* code, size_t m,
                   size_t ks) {
   __m512 acc = _mm512_setzero_ps();
@@ -281,84 +214,67 @@ void PqAdcBatchAvx512(const float* table, const uint8_t* codes, size_t n,
 
 // ---- Reduced-precision kernels ---------------------------------------------
 //
-// 16 half-words decode to one zmm per load: fp16 through vcvtph2ps (AVX-512F
-// operates on a full ymm of halves natively), bf16 through zero-extend +
-// shift-left-16. Masked u16 loads give branch-free tails. Loader structs
-// are template parameters so both formats share the loop bodies.
+// 16 fp16 half-words decode to one zmm per load through vcvtph2ps
+// (AVX-512F operates on a full ymm of halves natively). Masked u16 loads
+// give branch-free tails.
 
-struct Fp16LoadAvx512 {
-  static inline __m512 Load16(const uint16_t* p) {
-    return _mm512_cvtph_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  }
-  static inline __m512 MaskLoad16(__mmask16 k, const uint16_t* p) {
-    return _mm512_cvtph_ps(_mm256_maskz_loadu_epi16(k, p));
-  }
-};
+inline __m512 LoadFp16x16(const uint16_t* p) {
+  return _mm512_cvtph_ps(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+}
 
-struct Bf16LoadAvx512 {
-  static inline __m512 Load16(const uint16_t* p) {
-    __m256i u = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    return _mm512_castsi512_ps(
-        _mm512_slli_epi32(_mm512_cvtepu16_epi32(u), 16));
-  }
-  static inline __m512 MaskLoad16(__mmask16 k, const uint16_t* p) {
-    return _mm512_castsi512_ps(_mm512_slli_epi32(
-        _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(k, p)), 16));
-  }
-};
+inline __m512 MaskLoadFp16x16(__mmask16 k, const uint16_t* p) {
+  return _mm512_cvtph_ps(_mm256_maskz_loadu_epi16(k, p));
+}
 
-template <typename Load>
 float HalfL2SqrAvx512(const float* query, const uint16_t* code, size_t dim) {
   __m512 acc0 = _mm512_setzero_ps();
   __m512 acc1 = _mm512_setzero_ps();
   size_t i = 0;
   for (; i + 32 <= dim; i += 32) {
     __m512 d0 =
-        _mm512_sub_ps(_mm512_loadu_ps(query + i), Load::Load16(code + i));
+        _mm512_sub_ps(_mm512_loadu_ps(query + i), LoadFp16x16(code + i));
     acc0 = _mm512_fmadd_ps(d0, d0, acc0);
     __m512 d1 = _mm512_sub_ps(_mm512_loadu_ps(query + i + 16),
-                              Load::Load16(code + i + 16));
+                              LoadFp16x16(code + i + 16));
     acc1 = _mm512_fmadd_ps(d1, d1, acc1);
   }
   for (; i + 16 <= dim; i += 16) {
     __m512 d =
-        _mm512_sub_ps(_mm512_loadu_ps(query + i), Load::Load16(code + i));
+        _mm512_sub_ps(_mm512_loadu_ps(query + i), LoadFp16x16(code + i));
     acc0 = _mm512_fmadd_ps(d, d, acc0);
   }
   if (i < dim) {
     __mmask16 k = TailMask(dim - i);
     __m512 d = _mm512_sub_ps(_mm512_maskz_loadu_ps(k, query + i),
-                             Load::MaskLoad16(k, code + i));
+                             MaskLoadFp16x16(k, code + i));
     acc0 = _mm512_fmadd_ps(d, d, acc0);
   }
   return _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
 }
 
-template <typename Load>
 float HalfInnerProductAvx512(const float* query, const uint16_t* code,
                              size_t dim) {
   __m512 acc0 = _mm512_setzero_ps();
   __m512 acc1 = _mm512_setzero_ps();
   size_t i = 0;
   for (; i + 32 <= dim; i += 32) {
-    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(query + i), Load::Load16(code + i),
+    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(query + i), LoadFp16x16(code + i),
                            acc0);
     acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(query + i + 16),
-                           Load::Load16(code + i + 16), acc1);
+                           LoadFp16x16(code + i + 16), acc1);
   }
   for (; i + 16 <= dim; i += 16)
-    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(query + i), Load::Load16(code + i),
+    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(query + i), LoadFp16x16(code + i),
                            acc0);
   if (i < dim) {
     __mmask16 k = TailMask(dim - i);
     acc0 = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(k, query + i),
-                           Load::MaskLoad16(k, code + i), acc0);
+                           MaskLoadFp16x16(k, code + i), acc0);
   }
   return _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
 }
 
-template <typename Load>
 void HalfBatchL2SqrAvx512(const float* query, const uint16_t* base, size_t n,
                           size_t dim, float* out) {
   size_t i = 0;
@@ -378,25 +294,25 @@ void HalfBatchL2SqrAvx512(const float* query, const uint16_t* base, size_t n,
     size_t d = 0;
     for (; d + 16 <= dim; d += 16) {
       __m512 q = _mm512_loadu_ps(query + d);
-      __m512 d0 = _mm512_sub_ps(Load::Load16(r0 + d), q);
+      __m512 d0 = _mm512_sub_ps(LoadFp16x16(r0 + d), q);
       a0 = _mm512_fmadd_ps(d0, d0, a0);
-      __m512 d1 = _mm512_sub_ps(Load::Load16(r1 + d), q);
+      __m512 d1 = _mm512_sub_ps(LoadFp16x16(r1 + d), q);
       a1 = _mm512_fmadd_ps(d1, d1, a1);
-      __m512 d2 = _mm512_sub_ps(Load::Load16(r2 + d), q);
+      __m512 d2 = _mm512_sub_ps(LoadFp16x16(r2 + d), q);
       a2 = _mm512_fmadd_ps(d2, d2, a2);
-      __m512 d3 = _mm512_sub_ps(Load::Load16(r3 + d), q);
+      __m512 d3 = _mm512_sub_ps(LoadFp16x16(r3 + d), q);
       a3 = _mm512_fmadd_ps(d3, d3, a3);
     }
     if (d < dim) {
       __mmask16 k = TailMask(dim - d);
       __m512 q = _mm512_maskz_loadu_ps(k, query + d);
-      __m512 d0 = _mm512_sub_ps(Load::MaskLoad16(k, r0 + d), q);
+      __m512 d0 = _mm512_sub_ps(MaskLoadFp16x16(k, r0 + d), q);
       a0 = _mm512_fmadd_ps(d0, d0, a0);
-      __m512 d1 = _mm512_sub_ps(Load::MaskLoad16(k, r1 + d), q);
+      __m512 d1 = _mm512_sub_ps(MaskLoadFp16x16(k, r1 + d), q);
       a1 = _mm512_fmadd_ps(d1, d1, a1);
-      __m512 d2 = _mm512_sub_ps(Load::MaskLoad16(k, r2 + d), q);
+      __m512 d2 = _mm512_sub_ps(MaskLoadFp16x16(k, r2 + d), q);
       a2 = _mm512_fmadd_ps(d2, d2, a2);
-      __m512 d3 = _mm512_sub_ps(Load::MaskLoad16(k, r3 + d), q);
+      __m512 d3 = _mm512_sub_ps(MaskLoadFp16x16(k, r3 + d), q);
       a3 = _mm512_fmadd_ps(d3, d3, a3);
     }
     out[i + 0] = _mm512_reduce_add_ps(a0);
@@ -405,10 +321,9 @@ void HalfBatchL2SqrAvx512(const float* query, const uint16_t* base, size_t n,
     out[i + 3] = _mm512_reduce_add_ps(a3);
   }
   for (; i < n; ++i)
-    out[i] = HalfL2SqrAvx512<Load>(query, base + i * dim, dim);
+    out[i] = HalfL2SqrAvx512(query, base + i * dim, dim);
 }
 
-template <typename Load>
 void HalfBatchInnerProductAvx512(const float* query, const uint16_t* base,
                                  size_t n, size_t dim, float* out) {
   size_t i = 0;
@@ -428,18 +343,18 @@ void HalfBatchInnerProductAvx512(const float* query, const uint16_t* base,
     size_t d = 0;
     for (; d + 16 <= dim; d += 16) {
       __m512 q = _mm512_loadu_ps(query + d);
-      a0 = _mm512_fmadd_ps(Load::Load16(r0 + d), q, a0);
-      a1 = _mm512_fmadd_ps(Load::Load16(r1 + d), q, a1);
-      a2 = _mm512_fmadd_ps(Load::Load16(r2 + d), q, a2);
-      a3 = _mm512_fmadd_ps(Load::Load16(r3 + d), q, a3);
+      a0 = _mm512_fmadd_ps(LoadFp16x16(r0 + d), q, a0);
+      a1 = _mm512_fmadd_ps(LoadFp16x16(r1 + d), q, a1);
+      a2 = _mm512_fmadd_ps(LoadFp16x16(r2 + d), q, a2);
+      a3 = _mm512_fmadd_ps(LoadFp16x16(r3 + d), q, a3);
     }
     if (d < dim) {
       __mmask16 k = TailMask(dim - d);
       __m512 q = _mm512_maskz_loadu_ps(k, query + d);
-      a0 = _mm512_fmadd_ps(Load::MaskLoad16(k, r0 + d), q, a0);
-      a1 = _mm512_fmadd_ps(Load::MaskLoad16(k, r1 + d), q, a1);
-      a2 = _mm512_fmadd_ps(Load::MaskLoad16(k, r2 + d), q, a2);
-      a3 = _mm512_fmadd_ps(Load::MaskLoad16(k, r3 + d), q, a3);
+      a0 = _mm512_fmadd_ps(MaskLoadFp16x16(k, r0 + d), q, a0);
+      a1 = _mm512_fmadd_ps(MaskLoadFp16x16(k, r1 + d), q, a1);
+      a2 = _mm512_fmadd_ps(MaskLoadFp16x16(k, r2 + d), q, a2);
+      a3 = _mm512_fmadd_ps(MaskLoadFp16x16(k, r3 + d), q, a3);
     }
     out[i + 0] = _mm512_reduce_add_ps(a0);
     out[i + 1] = _mm512_reduce_add_ps(a1);
@@ -447,7 +362,7 @@ void HalfBatchInnerProductAvx512(const float* query, const uint16_t* base,
     out[i + 3] = _mm512_reduce_add_ps(a3);
   }
   for (; i < n; ++i)
-    out[i] = HalfInnerProductAvx512<Load>(query, base + i * dim, dim);
+    out[i] = HalfInnerProductAvx512(query, base + i * dim, dim);
 }
 
 /// Decodes 16 int8 codes to fp32 (no scale), masked.
@@ -565,19 +480,12 @@ const KernelTable& Avx512Table() {
       .cosine = CosineAvx512,
       .batch_l2sqr = BatchL2SqrAvx512,
       .batch_inner_product = BatchInnerProductAvx512,
-      .sq8_l2sqr = Sq8L2SqrAvx512,
-      .sq8_inner_product = Sq8InnerProductAvx512,
-      .sq8_dot_norm = Sq8DotNormAvx512,
       .pq_adc = PqAdcAvx512,
       .pq_adc_batch = PqAdcBatchAvx512,
-      .fp16_l2sqr = HalfL2SqrAvx512<Fp16LoadAvx512>,
-      .fp16_inner_product = HalfInnerProductAvx512<Fp16LoadAvx512>,
-      .batch_fp16_l2sqr = HalfBatchL2SqrAvx512<Fp16LoadAvx512>,
-      .batch_fp16_inner_product = HalfBatchInnerProductAvx512<Fp16LoadAvx512>,
-      .bf16_l2sqr = HalfL2SqrAvx512<Bf16LoadAvx512>,
-      .bf16_inner_product = HalfInnerProductAvx512<Bf16LoadAvx512>,
-      .batch_bf16_l2sqr = HalfBatchL2SqrAvx512<Bf16LoadAvx512>,
-      .batch_bf16_inner_product = HalfBatchInnerProductAvx512<Bf16LoadAvx512>,
+      .fp16_l2sqr = HalfL2SqrAvx512,
+      .fp16_inner_product = HalfInnerProductAvx512,
+      .batch_fp16_l2sqr = HalfBatchL2SqrAvx512,
+      .batch_fp16_inner_product = HalfBatchInnerProductAvx512,
       .i8_asym_l2sqr = I8AsymL2SqrAvx512,
       .i8_asym_dot = I8AsymDotAvx512,
       .i8_l2sqr = I8L2SqrAvx512,

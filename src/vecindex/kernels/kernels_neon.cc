@@ -101,69 +101,6 @@ void BatchInnerProductNeon(const float* query, const float* base, size_t n,
   BatchNeon(query, base, n, dim, out, InnerProductNeon);
 }
 
-/// Dequantizes 4 SQ8 codes starting at *code: vmin + float(code) * vscale.
-inline float32x4_t DecodeSq8x4(const uint8_t* code, const float* vmin,
-                               const float* vscale) {
-  // Widen 4 bytes -> u16 -> u32 -> f32.
-  uint8_t tmp[8] = {code[0], code[1], code[2], code[3], 0, 0, 0, 0};
-  uint16x8_t u16 = vmovl_u8(vld1_u8(tmp));
-  float32x4_t f = vcvtq_f32_u32(vmovl_u16(vget_low_u16(u16)));
-  return vfmaq_f32(vld1q_f32(vmin), f, vld1q_f32(vscale));
-}
-
-float Sq8L2SqrNeon(const float* query, const uint8_t* code, const float* vmin,
-                   const float* vscale, size_t dim) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  size_t d = 0;
-  for (; d + 4 <= dim; d += 4) {
-    float32x4_t diff = vsubq_f32(vld1q_f32(query + d),
-                                 DecodeSq8x4(code + d, vmin + d, vscale + d));
-    acc = vfmaq_f32(acc, diff, diff);
-  }
-  float sum = vaddvq_f32(acc);
-  for (; d < dim; ++d) {
-    float decoded = vmin[d] + static_cast<float>(code[d]) * vscale[d];
-    float diff = query[d] - decoded;
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-float Sq8InnerProductNeon(const float* query, const uint8_t* code,
-                          const float* vmin, const float* vscale,
-                          size_t dim) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  size_t d = 0;
-  for (; d + 4 <= dim; d += 4)
-    acc = vfmaq_f32(acc, vld1q_f32(query + d),
-                    DecodeSq8x4(code + d, vmin + d, vscale + d));
-  float sum = vaddvq_f32(acc);
-  for (; d < dim; ++d)
-    sum += query[d] * (vmin[d] + static_cast<float>(code[d]) * vscale[d]);
-  return sum;
-}
-
-void Sq8DotNormNeon(const float* query, const uint8_t* code,
-                    const float* vmin, const float* vscale, size_t dim,
-                    float* dot_out, float* norm_sqr_out) {
-  float32x4_t dot = vdupq_n_f32(0.0f);
-  float32x4_t norm = vdupq_n_f32(0.0f);
-  size_t d = 0;
-  for (; d + 4 <= dim; d += 4) {
-    float32x4_t decoded = DecodeSq8x4(code + d, vmin + d, vscale + d);
-    dot = vfmaq_f32(dot, vld1q_f32(query + d), decoded);
-    norm = vfmaq_f32(norm, decoded, decoded);
-  }
-  float sdot = vaddvq_f32(dot), snorm = vaddvq_f32(norm);
-  for (; d < dim; ++d) {
-    float decoded = vmin[d] + static_cast<float>(code[d]) * vscale[d];
-    sdot += query[d] * decoded;
-    snorm += decoded * decoded;
-  }
-  *dot_out = sdot;
-  *norm_sqr_out = snorm;
-}
-
 float PqAdcNeon(const float* table, const uint8_t* code, size_t m,
                 size_t ks) {
   float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
@@ -189,62 +126,49 @@ void PqAdcBatchNeon(const float* table, const uint8_t* codes, size_t n,
 // ---- Reduced-precision kernels ---------------------------------------------
 //
 // fp16 uses the baseline AArch64 FCVTL conversion (half -> single is
-// mandatory in ARMv8.0-A even without the FP16 arithmetic extension); bf16
-// widens through a 16-bit shift. Loader structs are template parameters so
-// both formats share the loop bodies.
+// mandatory in ARMv8.0-A even without the FP16 arithmetic extension);
+// scalar tails use the bit-exact Fp16ToFloat.
 
-struct Fp16LoadNeon {
-  static inline float32x4_t Load4(const uint16_t* p) {
-    return vcvt_f32_f16(vreinterpret_f16_u16(vld1_u16(p)));
-  }
-  static inline float Load1(uint16_t v) { return Fp16ToFloat(v); }
-};
+inline float32x4_t LoadFp16x4(const uint16_t* p) {
+  return vcvt_f32_f16(vreinterpret_f16_u16(vld1_u16(p)));
+}
 
-struct Bf16LoadNeon {
-  static inline float32x4_t Load4(const uint16_t* p) {
-    return vreinterpretq_f32_u32(vshll_n_u16(vld1_u16(p), 16));
-  }
-  static inline float Load1(uint16_t v) { return Bf16ToFloat(v); }
-};
-
-template <typename Load>
 float HalfL2SqrNeon(const float* query, const uint16_t* code, size_t dim) {
   float32x4_t acc0 = vdupq_n_f32(0.0f);
   float32x4_t acc1 = vdupq_n_f32(0.0f);
   size_t i = 0;
   for (; i + 8 <= dim; i += 8) {
-    float32x4_t d0 = vsubq_f32(vld1q_f32(query + i), Load::Load4(code + i));
+    float32x4_t d0 = vsubq_f32(vld1q_f32(query + i), LoadFp16x4(code + i));
     acc0 = vfmaq_f32(acc0, d0, d0);
     float32x4_t d1 =
-        vsubq_f32(vld1q_f32(query + i + 4), Load::Load4(code + i + 4));
+        vsubq_f32(vld1q_f32(query + i + 4), LoadFp16x4(code + i + 4));
     acc1 = vfmaq_f32(acc1, d1, d1);
   }
   for (; i + 4 <= dim; i += 4) {
-    float32x4_t d = vsubq_f32(vld1q_f32(query + i), Load::Load4(code + i));
+    float32x4_t d = vsubq_f32(vld1q_f32(query + i), LoadFp16x4(code + i));
     acc0 = vfmaq_f32(acc0, d, d);
   }
   float acc = vaddvq_f32(vaddq_f32(acc0, acc1));
   for (; i < dim; ++i) {
-    float d = query[i] - Load::Load1(code[i]);
+    float d = query[i] - Fp16ToFloat(code[i]);
     acc += d * d;
   }
   return acc;
 }
 
-template <typename Load>
 float HalfInnerProductNeon(const float* query, const uint16_t* code,
                            size_t dim) {
   float32x4_t acc0 = vdupq_n_f32(0.0f);
   float32x4_t acc1 = vdupq_n_f32(0.0f);
   size_t i = 0;
   for (; i + 8 <= dim; i += 8) {
-    acc0 = vfmaq_f32(acc0, vld1q_f32(query + i), Load::Load4(code + i));
-    acc1 = vfmaq_f32(acc1, vld1q_f32(query + i + 4), Load::Load4(code + i + 4));
+    acc0 = vfmaq_f32(acc0, vld1q_f32(query + i), LoadFp16x4(code + i));
+    acc1 = vfmaq_f32(acc1, vld1q_f32(query + i + 4), LoadFp16x4(code + i + 4));
   }
   for (; i + 4 <= dim; i += 4)
-    acc0 = vfmaq_f32(acc0, vld1q_f32(query + i), Load::Load4(code + i));
+    acc0 = vfmaq_f32(acc0, vld1q_f32(query + i), LoadFp16x4(code + i));
   float acc = vaddvq_f32(vaddq_f32(acc0, acc1));
-  for (; i < dim; ++i) acc += query[i] * Load::Load1(code[i]);
+  for (; i < dim; ++i) acc += query[i] * Fp16ToFloat(code[i]);
   return acc;
 }
 
@@ -368,21 +292,12 @@ const KernelTable& NeonTable() {
       .cosine = CosineNeon,
       .batch_l2sqr = BatchL2SqrNeon,
       .batch_inner_product = BatchInnerProductNeon,
-      .sq8_l2sqr = Sq8L2SqrNeon,
-      .sq8_inner_product = Sq8InnerProductNeon,
-      .sq8_dot_norm = Sq8DotNormNeon,
       .pq_adc = PqAdcNeon,
       .pq_adc_batch = PqAdcBatchNeon,
-      .fp16_l2sqr = HalfL2SqrNeon<Fp16LoadNeon>,
-      .fp16_inner_product = HalfInnerProductNeon<Fp16LoadNeon>,
-      .batch_fp16_l2sqr = HalfBatchNeon<HalfL2SqrNeon<Fp16LoadNeon>>,
-      .batch_fp16_inner_product =
-          HalfBatchNeon<HalfInnerProductNeon<Fp16LoadNeon>>,
-      .bf16_l2sqr = HalfL2SqrNeon<Bf16LoadNeon>,
-      .bf16_inner_product = HalfInnerProductNeon<Bf16LoadNeon>,
-      .batch_bf16_l2sqr = HalfBatchNeon<HalfL2SqrNeon<Bf16LoadNeon>>,
-      .batch_bf16_inner_product =
-          HalfBatchNeon<HalfInnerProductNeon<Bf16LoadNeon>>,
+      .fp16_l2sqr = HalfL2SqrNeon,
+      .fp16_inner_product = HalfInnerProductNeon,
+      .batch_fp16_l2sqr = HalfBatchNeon<HalfL2SqrNeon>,
+      .batch_fp16_inner_product = HalfBatchNeon<HalfInnerProductNeon>,
       .i8_asym_l2sqr = I8AsymL2SqrNeon,
       .i8_asym_dot = I8AsymDotNeon,
       .i8_l2sqr = I8L2SqrNeon,

@@ -71,39 +71,6 @@ void BatchInnerProductScalar(const float* query, const float* base, size_t n,
   BatchScalar(query, base, n, dim, out, InnerProductScalar);
 }
 
-float Sq8L2SqrScalar(const float* query, const uint8_t* code,
-                     const float* vmin, const float* vscale, size_t dim) {
-  float acc = 0.0f;
-  for (size_t d = 0; d < dim; ++d) {
-    float decoded = vmin[d] + static_cast<float>(code[d]) * vscale[d];
-    float diff = query[d] - decoded;
-    acc += diff * diff;
-  }
-  return acc;
-}
-
-float Sq8InnerProductScalar(const float* query, const uint8_t* code,
-                            const float* vmin, const float* vscale,
-                            size_t dim) {
-  float acc = 0.0f;
-  for (size_t d = 0; d < dim; ++d)
-    acc += query[d] * (vmin[d] + static_cast<float>(code[d]) * vscale[d]);
-  return acc;
-}
-
-void Sq8DotNormScalar(const float* query, const uint8_t* code,
-                      const float* vmin, const float* vscale, size_t dim,
-                      float* dot_out, float* norm_sqr_out) {
-  float dot = 0.0f, norm = 0.0f;
-  for (size_t d = 0; d < dim; ++d) {
-    float decoded = vmin[d] + static_cast<float>(code[d]) * vscale[d];
-    dot += query[d] * decoded;
-    norm += decoded * decoded;
-  }
-  *dot_out = dot;
-  *norm_sqr_out = norm;
-}
-
 float PqAdcScalar(const float* table, const uint8_t* code, size_t m,
                   size_t ks) {
   // Four independent accumulators: ADC is a dependent-load chain, so giving
@@ -130,26 +97,22 @@ void PqAdcBatchScalar(const float* table, const uint8_t* codes, size_t n,
 
 // ---- Reduced-precision kernels ---------------------------------------------
 //
-// The 16-bit kernels are templated on the decoder so fp16 and bf16 share
-// one loop body; instantiated function templates are what lands in the
-// table. Batch variants reuse BatchScalar's 4-way blocking via the
-// row-kernel instantiations.
+// fp16 rows decode through the bit-exact Fp16ToFloat; the batch variants
+// reuse the 4-way row blocking through the row-kernel template parameter.
 
-template <float (*Decode)(uint16_t)>
 float HalfL2SqrScalar(const float* query, const uint16_t* code, size_t dim) {
   float acc = 0.0f;
   for (size_t i = 0; i < dim; ++i) {
-    float d = query[i] - Decode(code[i]);
+    float d = query[i] - Fp16ToFloat(code[i]);
     acc += d * d;
   }
   return acc;
 }
 
-template <float (*Decode)(uint16_t)>
 float HalfInnerProductScalar(const float* query, const uint16_t* code,
                              size_t dim) {
   float acc = 0.0f;
-  for (size_t i = 0; i < dim; ++i) acc += query[i] * Decode(code[i]);
+  for (size_t i = 0; i < dim; ++i) acc += query[i] * Fp16ToFloat(code[i]);
   return acc;
 }
 
@@ -231,21 +194,12 @@ const KernelTable& ScalarTable() {
       .cosine = CosineScalar,
       .batch_l2sqr = BatchL2SqrScalar,
       .batch_inner_product = BatchInnerProductScalar,
-      .sq8_l2sqr = Sq8L2SqrScalar,
-      .sq8_inner_product = Sq8InnerProductScalar,
-      .sq8_dot_norm = Sq8DotNormScalar,
       .pq_adc = PqAdcScalar,
       .pq_adc_batch = PqAdcBatchScalar,
-      .fp16_l2sqr = HalfL2SqrScalar<Fp16ToFloat>,
-      .fp16_inner_product = HalfInnerProductScalar<Fp16ToFloat>,
-      .batch_fp16_l2sqr = HalfBatchScalar<HalfL2SqrScalar<Fp16ToFloat>>,
-      .batch_fp16_inner_product =
-          HalfBatchScalar<HalfInnerProductScalar<Fp16ToFloat>>,
-      .bf16_l2sqr = HalfL2SqrScalar<Bf16ToFloat>,
-      .bf16_inner_product = HalfInnerProductScalar<Bf16ToFloat>,
-      .batch_bf16_l2sqr = HalfBatchScalar<HalfL2SqrScalar<Bf16ToFloat>>,
-      .batch_bf16_inner_product =
-          HalfBatchScalar<HalfInnerProductScalar<Bf16ToFloat>>,
+      .fp16_l2sqr = HalfL2SqrScalar,
+      .fp16_inner_product = HalfInnerProductScalar,
+      .batch_fp16_l2sqr = HalfBatchScalar<HalfL2SqrScalar>,
+      .batch_fp16_inner_product = HalfBatchScalar<HalfInnerProductScalar>,
       .i8_asym_l2sqr = I8AsymL2SqrScalar,
       .i8_asym_dot = I8AsymDotScalar,
       .i8_l2sqr = I8L2SqrScalar,

@@ -2,88 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/assert.h"
 #include "vecindex/distance.h"
 #include "vecindex/scan_counters.h"
 
 namespace blendhouse::vecindex {
-
-common::Status ScalarQuantizer::Train(const float* data, size_t n,
-                                      size_t dim) {
-  if (n == 0 || dim == 0)
-    return common::Status::InvalidArgument("sq: empty training set");
-  dim_ = dim;
-  vmin_.assign(dim, std::numeric_limits<float>::max());
-  std::vector<float> vmax(dim, std::numeric_limits<float>::lowest());
-  for (size_t i = 0; i < n; ++i) {
-    const float* v = data + i * dim;
-    for (size_t d = 0; d < dim; ++d) {
-      vmin_[d] = std::min(vmin_[d], v[d]);
-      vmax[d] = std::max(vmax[d], v[d]);
-    }
-  }
-  vscale_.resize(dim);
-  for (size_t d = 0; d < dim; ++d) {
-    float range = vmax[d] - vmin_[d];
-    vscale_[d] = range > 1e-12f ? range / 255.0f : 1e-12f;
-  }
-  return common::Status::Ok();
-}
-
-void ScalarQuantizer::Encode(const float* v, uint8_t* code) const {
-  for (size_t d = 0; d < dim_; ++d) {
-    float q = (v[d] - vmin_[d]) / vscale_[d];
-    q = std::clamp(q, 0.0f, 255.0f);
-    // Clamp the rounded value too: at the float boundary (and for NaN,
-    // which passes through clamp unchanged) lround can land outside
-    // [0, 255] and the bare uint8_t cast would wrap.
-    code[d] = static_cast<uint8_t>(std::clamp(std::lround(q), 0L, 255L));
-  }
-}
-
-void ScalarQuantizer::Decode(const uint8_t* code, float* v) const {
-  for (size_t d = 0; d < dim_; ++d)
-    v[d] = vmin_[d] + static_cast<float>(code[d]) * vscale_[d];
-}
-
-float ScalarQuantizer::L2SqrToCode(const float* query,
-                                   const uint8_t* code) const {
-  return kernels::Get().sq8_l2sqr(query, code, vmin_.data(), vscale_.data(),
-                                  dim_);
-}
-
-float ScalarQuantizer::DotToCode(const float* query,
-                                 const uint8_t* code) const {
-  return kernels::Get().sq8_inner_product(query, code, vmin_.data(),
-                                          vscale_.data(), dim_);
-}
-
-float ScalarQuantizer::CosineToCode(const float* query, const uint8_t* code,
-                                    float query_norm) const {
-  float dot = 0.0f, norm_sqr = 0.0f;
-  kernels::Get().sq8_dot_norm(query, code, vmin_.data(), vscale_.data(), dim_,
-                              &dot, &norm_sqr);
-  return CosineFromDot(dot, query_norm, std::sqrt(norm_sqr));
-}
-
-void ScalarQuantizer::Serialize(common::BinaryWriter* w) const {
-  w->Write<uint64_t>(dim_);
-  w->WriteVector(vmin_);
-  w->WriteVector(vscale_);
-}
-
-common::Status ScalarQuantizer::Deserialize(common::BinaryReader* r) {
-  uint64_t dim = 0;
-  BH_RETURN_IF_ERROR(r->Read(&dim));
-  dim_ = dim;
-  BH_RETURN_IF_ERROR(r->ReadVector(&vmin_));
-  BH_RETURN_IF_ERROR(r->ReadVector(&vscale_));
-  if (vmin_.size() != dim_ || vscale_.size() != dim_)
-    return common::Status::Corruption("sq: dim mismatch");
-  return common::Status::Ok();
-}
 
 // ---- PrecisionStore --------------------------------------------------------
 
@@ -124,11 +48,6 @@ void PrecisionStore::EncodeRow(const float* v, size_t row) {
       for (size_t d = 0; d < dim_; ++d) dst[d] = kernels::FloatToFp16(v[d]);
       break;
     }
-    case Precision::kBf16: {
-      uint16_t* dst = half_.data() + row * dim_;
-      for (size_t d = 0; d < dim_; ++d) dst[d] = kernels::FloatToBf16(v[d]);
-      break;
-    }
     case Precision::kInt8: {
       int8_t* dst = i8_.data() + row * dim_;
       float inv = 1.0f / scale_;
@@ -162,14 +81,6 @@ void PrecisionStore::EncodeRow(const float* v, size_t row) {
         }
         break;
       }
-      case Precision::kBf16: {
-        const uint16_t* c = half_.data() + row * dim_;
-        for (size_t d = 0; d < dim_; ++d) {
-          float x = kernels::Bf16ToFloat(c[d]);
-          sq += x * x;
-        }
-        break;
-      }
       case Precision::kFp32:
         break;
     }
@@ -189,6 +100,15 @@ void PrecisionStore::Append(const float* data, size_t n) {
   }
   if (metric_ == Metric::kCosine) norms_.resize(size_);
   for (size_t i = 0; i < n; ++i) EncodeRow(data + i * dim_, first + i);
+}
+
+void PrecisionStore::Reserve(size_t rows) {
+  if (precision_ == Precision::kInt8) {
+    i8_.reserve(rows * dim_);
+  } else {
+    half_.reserve(rows * dim_);
+  }
+  if (metric_ == Metric::kCosine) norms_.reserve(rows);
 }
 
 void PrecisionStore::PrepareQuery(const float* query, QueryCtx* ctx) const {
@@ -253,20 +173,16 @@ void PrecisionStore::BatchDistanceCodes(const QueryCtx& ctx,
     return;
   }
   const uint16_t* base = static_cast<const uint16_t*>(codes);
-  const bool fp16 = precision_ == Precision::kFp16;
   switch (metric_) {
     case Metric::kL2:
-      (fp16 ? kt.batch_fp16_l2sqr : kt.batch_bf16_l2sqr)(ctx.query, base, n,
-                                                         dim_, out);
+      kt.batch_fp16_l2sqr(ctx.query, base, n, dim_, out);
       break;
     case Metric::kInnerProduct:
-      (fp16 ? kt.batch_fp16_inner_product
-            : kt.batch_bf16_inner_product)(ctx.query, base, n, dim_, out);
+      kt.batch_fp16_inner_product(ctx.query, base, n, dim_, out);
       for (size_t i = 0; i < n; ++i) out[i] = -out[i];
       break;
     case Metric::kCosine:
-      (fp16 ? kt.batch_fp16_inner_product
-            : kt.batch_bf16_inner_product)(ctx.query, base, n, dim_, out);
+      kt.batch_fp16_inner_product(ctx.query, base, n, dim_, out);
       for (size_t i = 0; i < n; ++i)
         out[i] = CosineFromDot(out[i], ctx.query_norm, norms[i]);
       break;
@@ -297,18 +213,14 @@ float PrecisionStore::Distance1(const QueryCtx& ctx, size_t row) const {
     return 0.0f;
   }
   const uint16_t* code = half_.data() + row * dim_;
-  const bool fp16 = precision_ == Precision::kFp16;
   switch (metric_) {
     case Metric::kL2:
-      return (fp16 ? kt.fp16_l2sqr : kt.bf16_l2sqr)(ctx.query, code, dim_);
+      return kt.fp16_l2sqr(ctx.query, code, dim_);
     case Metric::kInnerProduct:
-      return -(fp16 ? kt.fp16_inner_product : kt.bf16_inner_product)(
-          ctx.query, code, dim_);
+      return -kt.fp16_inner_product(ctx.query, code, dim_);
     case Metric::kCosine:
-      return CosineFromDot(
-          (fp16 ? kt.fp16_inner_product : kt.bf16_inner_product)(ctx.query,
-                                                                 code, dim_),
-          ctx.query_norm, norms_[row]);
+      return CosineFromDot(kt.fp16_inner_product(ctx.query, code, dim_),
+                           ctx.query_norm, norms_[row]);
   }
   return 0.0f;
 }
@@ -331,11 +243,6 @@ void PrecisionStore::Decode(size_t row, float* out) const {
     case Precision::kFp16: {
       const uint16_t* c = half_.data() + row * dim_;
       for (size_t d = 0; d < dim_; ++d) out[d] = kernels::Fp16ToFloat(c[d]);
-      break;
-    }
-    case Precision::kBf16: {
-      const uint16_t* c = half_.data() + row * dim_;
-      for (size_t d = 0; d < dim_; ++d) out[d] = kernels::Bf16ToFloat(c[d]);
       break;
     }
     case Precision::kInt8: {
@@ -366,17 +273,17 @@ void PrecisionStore::Serialize(common::BinaryWriter* w) const {
 }
 
 common::Status PrecisionStore::Deserialize(common::BinaryReader* r) {
-  uint8_t precision = 0, metric = 0;
+  uint8_t tag = 0, metric = 0;
   uint64_t dim = 0, size = 0;
-  BH_RETURN_IF_ERROR(r->Read(&precision));
+  Precision precision = Precision::kFp32;
+  BH_RETURN_IF_ERROR(r->Read(&tag));
   BH_RETURN_IF_ERROR(r->Read(&metric));
   BH_RETURN_IF_ERROR(r->Read(&dim));
   BH_RETURN_IF_ERROR(r->Read(&size));
   BH_RETURN_IF_ERROR(r->Read(&scale_));
-  if (precision > static_cast<uint8_t>(Precision::kInt8) ||
-      precision == static_cast<uint8_t>(Precision::kFp32))
+  if (!PrecisionFromTag(tag, &precision) || precision == Precision::kFp32)
     return common::Status::Corruption("precision store: bad precision tag");
-  precision_ = static_cast<Precision>(precision);
+  precision_ = precision;
   metric_ = static_cast<Metric>(metric);
   dim_ = dim;
   size_ = size;

@@ -11,55 +11,13 @@
 
 namespace blendhouse::vecindex {
 
-/// SQ8 scalar quantizer: per-dimension min/max affine mapping to uint8.
-/// Quarters the memory of float32 vectors while preserving distance order
-/// well enough for HNSWSQ (Table VI in the paper: 596 GB -> 238 GB).
-class ScalarQuantizer {
- public:
-  /// Learns per-dimension [min, max] from `n` training vectors.
-  common::Status Train(const float* data, size_t n, size_t dim);
-
-  bool trained() const { return dim_ > 0; }
-  size_t dim() const { return dim_; }
-  size_t code_size() const { return dim_; }
-
-  /// Encodes one vector into dim() bytes.
-  void Encode(const float* v, uint8_t* code) const;
-  /// Decodes dim() bytes back into a float vector.
-  void Decode(const uint8_t* code, float* v) const;
-
-  /// Squared L2 between a float query and an encoded vector (asymmetric:
-  /// the fused SIMD kernel dequantizes into the accumulation, no
-  /// materialized float copy).
-  float L2SqrToCode(const float* query, const uint8_t* code) const;
-
-  /// Dot product between a float query and an encoded vector (fused
-  /// dequantize, same contract as L2SqrToCode).
-  float DotToCode(const float* query, const uint8_t* code) const;
-
-  /// Cosine distance (1 - cos) between a float query and an encoded vector.
-  /// `query_norm` is the query's precomputed Euclidean magnitude; the decoded
-  /// vector's dot and norm come from one fused pass — no decode buffer.
-  /// Zero norm on either side yields 1.0 (the shared convention).
-  float CosineToCode(const float* query, const uint8_t* code,
-                     float query_norm) const;
-
-  void Serialize(common::BinaryWriter* w) const;
-  common::Status Deserialize(common::BinaryReader* r);
-
- private:
-  size_t dim_ = 0;
-  std::vector<float> vmin_;
-  std::vector<float> vscale_;  // (max-min)/255, floored to a tiny epsilon
-};
-
 /// Reduced-precision packed vector store (DESIGN.md §13): the quantized
 /// first-pass tier behind FLAT/IVF/HNSW when an index is built with a
-/// `precision` of fp16, bf16, or int8. Rows are packed contiguously in a
-/// 64-byte-aligned buffer (2 bytes/dim for the half formats, 1 for int8 —
-/// the resident-memory win), scanned by the batched reduced-precision
-/// kernels, and never accompanied by raw fp32 copies: the executor reranks
-/// survivors from the segment's own vector column.
+/// `precision` of fp16 or int8 (HNSWSQ is HNSW over the int8 form). Rows are
+/// packed contiguously in a 64-byte-aligned buffer (2 bytes/dim for fp16, 1
+/// for int8 — the resident-memory win), scanned by the batched
+/// reduced-precision kernels, and never accompanied by raw fp32 copies: the
+/// executor reranks survivors from the segment's own vector column.
 ///
 /// int8 uses one symmetric scale (decoded = scale * code) calibrated from
 /// the first appended batch (maxabs / 127) — Train() can fix it earlier
@@ -82,12 +40,16 @@ class PrecisionStore {
   /// int8: has the symmetric scale been fixed yet?
   bool calibrated() const;
 
-  /// Fixes the int8 scale from a sample (no-op for the half formats, and
-  /// once calibrated). The first Append calls this implicitly.
+  /// Fixes the int8 scale from a sample (no-op for fp16, and once
+  /// calibrated). The first Append calls this implicitly.
   void Train(const float* data, size_t n);
 
   /// Encodes and appends n packed fp32 vectors.
   void Append(const float* data, size_t n);
+
+  /// Sizes the code (and cosine norm) buffers for `rows` rows, so rows
+  /// appended one at a time up to that count leave no growth slack behind.
+  void Reserve(size_t rows);
 
   /// Per-query scan state. For int8 the query is quantized once here: at
   /// the store scale for L2 (symmetric differences need a shared grid), at
@@ -95,7 +57,7 @@ class PrecisionStore {
   struct QueryCtx {
     const float* query = nullptr;
     float query_norm = 0.0f;  // Euclidean magnitude; cosine only
-    std::vector<int8_t> q8;   // int8 formats only
+    std::vector<int8_t> q8;   // int8 only
     float l2_factor = 1.0f;   // int8 L2: scale^2
     float dot_factor = 1.0f;  // int8 dot: query_scale * scale
   };
@@ -143,7 +105,7 @@ class PrecisionStore {
   size_t dim_ = 0;
   size_t size_ = 0;
   float scale_ = 0.0f;  // int8: decoded = scale_ * code; 0 = uncalibrated
-  common::AlignedVector<uint16_t> half_;  // fp16 / bf16 codes
+  common::AlignedVector<uint16_t> half_;  // fp16 codes
   common::AlignedVector<int8_t> i8_;      // int8 codes
   std::vector<float> norms_;              // cosine: decoded row magnitudes
 };

@@ -22,15 +22,26 @@ namespace blendhouse::vecindex::scanstats {
 /// one per hop on the graph tiers — noise next to the kernel work itself
 /// (the telemetry_smoke <2% overhead gate covers it).
 
-/// One tally per storage precision, indexed by vecindex::Precision.
-inline constexpr size_t kNumTiers = 4;
+/// One tally per storage precision: fp32, fp16, int8.
+inline constexpr size_t kNumTiers = 3;
+
+/// The tally slot of a precision.
+inline size_t TierSlot(Precision tier) {
+  switch (tier) {
+    case Precision::kFp32:
+      return 0;
+    case Precision::kFp16:
+      return 1;
+    case Precision::kInt8:
+      return 2;
+  }
+  return 0;
+}
 
 struct TierCounts {
-  uint64_t dist[kNumTiers] = {0, 0, 0, 0};
+  uint64_t dist[kNumTiers] = {0, 0, 0};
 
-  uint64_t total() const {
-    return dist[0] + dist[1] + dist[2] + dist[3];
-  }
+  uint64_t total() const { return dist[0] + dist[1] + dist[2]; }
 };
 
 namespace internal {
@@ -39,7 +50,7 @@ inline thread_local TierCounts tls_counts;
 
 /// Charges n distance computations to the given precision tier.
 inline void Add(Precision tier, uint64_t n) {
-  internal::tls_counts.dist[static_cast<size_t>(tier)] += n;
+  internal::tls_counts.dist[TierSlot(tier)] += n;
 }
 
 inline void AddFp32(uint64_t n) { Add(Precision::kFp32, n); }

@@ -21,13 +21,18 @@ enum class Metric { kL2, kInnerProduct, kCosine };
 /// Storage precision of an index's scan tier (DESIGN.md §13). fp32 is the
 /// exact baseline; the reduced formats store 2 or 1 bytes per dimension,
 /// are scanned by dedicated kernels, and rely on an fp32 rerank of the top
-/// candidates to restore exact ordering.
-enum class Precision : uint8_t { kFp32 = 0, kFp16 = 1, kBf16 = 2, kInt8 = 3 };
+/// candidates to restore exact ordering. The values are the tags saved
+/// indexes carry; tag 2 is retired and never written.
+enum class Precision : uint8_t { kFp32 = 0, kFp16 = 1, kInt8 = 3 };
 
 std::string PrecisionName(Precision p);
 
-/// Parses "FP32"/"FP16"/"BF16"/"INT8" (case-insensitive); false on unknown.
+/// Parses "FP32"/"FP16"/"INT8" (case-insensitive); false on unknown.
 bool ParsePrecision(const std::string& name, Precision* out);
+
+/// Reads a saved precision tag; false for the retired tag 2 and anything
+/// above 3, which loaders report as corruption.
+bool PrecisionFromTag(uint8_t tag, Precision* out);
 
 /// Bytes one encoded dimension occupies.
 size_t PrecisionBytes(Precision p);

@@ -752,6 +752,12 @@ TEST(BlendHouseSettings, SetStatementUpdatesSessionSettings) {
   // Invalid values & unknown settings rejected.
   EXPECT_FALSE(db.ExecuteSql("SET ef_search = 0;").ok());
   EXPECT_TRUE(db.ExecuteSql("SET no_such_knob = 1;").status().IsNotFound());
+  // Retired knobs (names are case-insensitive): refine_factor sets the
+  // rerank depth, and post-filter refills always take the index's own
+  // iterator.
+  EXPECT_TRUE(db.ExecuteSql("SET RERANK_DEPTH = 64;").status().IsNotFound());
+  EXPECT_TRUE(
+      db.ExecuteSql("SET USE_NATIVE_ITERATORS = 0;").status().IsNotFound());
 }
 
 TEST(BlendHouseSettings, SetEfSearchChangesQueryBehaviour) {
@@ -808,8 +814,6 @@ TEST(BlendHouseSettings, SetDistancePrecisionFlowsIntoNewIndexes) {
   ASSERT_TRUE(db.ExecuteSql("SET distance_precision = 'int8';").ok());
   EXPECT_EQ(db.options().settings.distance_precision,
             vecindex::Precision::kInt8);
-  ASSERT_TRUE(db.ExecuteSql("SET rerank_depth = 64;").ok());
-  EXPECT_FALSE(db.ExecuteSql("SET rerank_depth = 0;").ok());
 
   // An index created after the SET stores int8 codes, so queries against it
   // must pass through the executor's fp32 rerank stage (DESIGN.md §13) and
@@ -850,6 +854,73 @@ TEST(BlendHouseSettings, SetDistancePrecisionFlowsIntoNewIndexes) {
   EXPECT_GT(total / 10, 0.9);
   EXPECT_GT(reg.GetCounter("bh_exec_fp32_rerank_rows")->Value(), before)
       << "query never entered the fp32 rerank stage";
+}
+
+TEST(BlendHouseSettings, ReducedPrecisionRerankKeepsSigmaK) {
+  // A reduced-precision segment's first pass keeps k * refine_factor
+  // survivors for the fp32 rerank (the sigma * k the cost model prices),
+  // not the whole segment.
+  BlendHouse db(BlendHouseOptions::Fast());
+  ASSERT_EQ(db.options().settings.refine_factor, 2);
+  // At dim 8 the CBO prices an exact scan below the index; with the CBO off
+  // every query takes the index (pre-filter plan).
+  ASSERT_TRUE(db.ExecuteSql("SET use_cbo = 0;").ok());
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE t (id Int64, emb Array(Float32),"
+                            " INDEX a emb TYPE HNSW('DIM=8','M=8',"
+                            "'PRECISION=INT8'));")
+                  .ok());
+  const size_t n = 4096;  // one segment at the default max_segment_rows
+  auto data = MakeClusteredVectors(n, kDim, 16, 81, 1.0f);
+  std::vector<storage::Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    storage::Row row;
+    row.values = {static_cast<int64_t>(i),
+                  std::vector<float>(data.begin() + i * kDim,
+                                     data.begin() + (i + 1) * kDim)};
+    rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE(db.Insert("t", std::move(rows)).ok());
+  ASSERT_TRUE(db.Flush("t").ok());
+  // Loaded up front, so no query is served by the exact-scan fallback.
+  ASSERT_TRUE(db.PreloadTable("t").ok());
+
+  common::metrics::Counter* rerank_rows =
+      common::metrics::MetricsRegistry::Instance().GetCounter(
+          "bh_exec_fp32_rerank_rows");
+  double total = 0;
+  for (int q = 0; q < 10; ++q) {
+    const float* query = data.data() + (q * 409 % n) * kDim;
+    auto truth = test::BruteForceTopK(data, kDim, query, 10);
+    std::string vec = "[";
+    for (size_t d = 0; d < kDim; ++d)
+      vec += (d ? "," : "") + std::to_string(query[d]);
+    vec += "]";
+    const uint64_t before = rerank_rows->Value();
+    auto r = db.Query("SELECT id FROM t ORDER BY L2Distance(emb, " + vec +
+                      ") LIMIT 10;");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(rerank_rows->Value() - before, 20u) << "query " << q;
+    const common::QueryLedger& ledger = r->stats.ledger;
+    EXPECT_EQ(ledger.segments_scanned, 1u);
+    EXPECT_EQ(ledger.fp32_rerank_rows, 20u);
+    EXPECT_LT(ledger.rows_scanned, n);
+    std::vector<vecindex::Neighbor> hits;
+    for (const auto& row : r->rows)
+      hits.push_back({std::get<int64_t>(row.values[0]), 0});
+    total += test::Recall(hits, truth);
+  }
+  EXPECT_GT(total / 10, 0.9);
+}
+
+TEST(BlendHouseSettings, RetiredPrecisionNameRejected) {
+  // The retired 16-bit brain-float format no longer parses as a session
+  // default.
+  BlendHouse db(BlendHouseOptions::Fast());
+  EXPECT_TRUE(db.ExecuteSql("SET distance_precision = 'bfloat16';")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(db.options().settings.distance_precision,
+            vecindex::Precision::kFp32);
 }
 
 // ---------------------------------------------------------------------------

@@ -119,41 +119,6 @@ TEST(KernelsTest, BatchAgreesWithSingleRowKernel) {
                 "batch-vs-single", dim);
 }
 
-TEST(KernelsTest, Sq8ParityAcrossTiers) {
-  const KernelTable* scalar = kernels::GetTable(SimdTier::kScalar);
-  for (const KernelTable* table : SimdTables()) {
-    for (size_t dim : kDims) {
-      auto query = RandomVec(dim, 5 + dim);
-      auto vmin = RandomVec(dim, 6 + dim);
-      std::vector<float> vscale(dim);
-      common::Rng rng(7 + dim);
-      std::vector<uint8_t> code(dim);
-      for (size_t d = 0; d < dim; ++d) {
-        vscale[d] = 0.001f + 0.01f * static_cast<float>(d % 7);
-        code[d] = static_cast<uint8_t>(rng.UniformInt(0, 255));
-      }
-      ExpectClose(table->sq8_l2sqr(query.data(), code.data(), vmin.data(),
-                                   vscale.data(), dim),
-                  scalar->sq8_l2sqr(query.data(), code.data(), vmin.data(),
-                                    vscale.data(), dim),
-                  "sq8_l2sqr", dim);
-      ExpectClose(
-          table->sq8_inner_product(query.data(), code.data(), vmin.data(),
-                                   vscale.data(), dim),
-          scalar->sq8_inner_product(query.data(), code.data(), vmin.data(),
-                                    vscale.data(), dim),
-          "sq8_ip", dim);
-      float dot_a = 0, norm_a = 0, dot_b = 0, norm_b = 0;
-      table->sq8_dot_norm(query.data(), code.data(), vmin.data(),
-                          vscale.data(), dim, &dot_a, &norm_a);
-      scalar->sq8_dot_norm(query.data(), code.data(), vmin.data(),
-                           vscale.data(), dim, &dot_b, &norm_b);
-      ExpectClose(dot_a, dot_b, "sq8_dot", dim);
-      ExpectClose(norm_a, norm_b, "sq8_norm", dim);
-    }
-  }
-}
-
 TEST(KernelsTest, PqAdcParityAcrossTiers) {
   const KernelTable* scalar = kernels::GetTable(SimdTier::kScalar);
   for (const KernelTable* table : SimdTables()) {
@@ -284,37 +249,13 @@ TEST(KernelsTest, AlignedVectorSerializationRoundTrip) {
             0u);
 }
 
-TEST(KernelsTest, ScalarQuantizerFusedKernelsMatchDecode) {
-  const size_t dim = 96;
-  auto data = test::MakeClusteredVectors(200, dim, 4, 31);
-  vecindex::ScalarQuantizer sq;
-  ASSERT_TRUE(sq.Train(data.data(), 200, dim).ok());
-  auto query = RandomVec(dim, 32);
-  std::vector<uint8_t> code(dim);
-  sq.Encode(data.data() + 5 * dim, code.data());
-  std::vector<float> decoded(dim);
-  sq.Decode(code.data(), decoded.data());
-
-  ExpectClose(sq.L2SqrToCode(query.data(), code.data()),
-              vecindex::L2Sqr(query.data(), decoded.data(), dim), "sq-l2",
-              dim);
-  ExpectClose(sq.DotToCode(query.data(), code.data()),
-              vecindex::InnerProduct(query.data(), decoded.data(), dim),
-              "sq-dot", dim);
-  float qnorm = std::sqrt(vecindex::SquaredNorm(query.data(), dim));
-  ExpectClose(sq.CosineToCode(query.data(), code.data(), qnorm),
-              vecindex::CosineDistance(query.data(), decoded.data(), dim),
-              "sq-cosine", dim);
-}
-
 // ---------------------------------------------------------------------------
 // Reduced-precision kernels (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-std::vector<uint16_t> EncodeHalf(const std::vector<float>& v, bool fp16) {
+std::vector<uint16_t> EncodeFp16(const std::vector<float>& v) {
   std::vector<uint16_t> out(v.size());
-  for (size_t i = 0; i < v.size(); ++i)
-    out[i] = fp16 ? kernels::FloatToFp16(v[i]) : kernels::FloatToBf16(v[i]);
+  for (size_t i = 0; i < v.size(); ++i) out[i] = kernels::FloatToFp16(v[i]);
   return out;
 }
 
@@ -326,15 +267,13 @@ std::vector<int8_t> RandomI8(size_t n, uint64_t seed) {
 }
 
 TEST(KernelsTest, HalfConversionRoundTrip) {
-  // Round-to-nearest error is bounded by half an ulp of the narrow format:
-  // 2^-11 relative for fp16 (10 mantissa bits), 2^-8 for bf16 (7 bits).
+  // Round-to-nearest error is bounded by half an ulp of fp16: 2^-11
+  // relative (10 mantissa bits).
   common::Rng rng(41);
   for (int i = 0; i < 1000; ++i) {
     float f = rng.Gaussian(0.0f, 10.0f);
     float h = kernels::Fp16ToFloat(kernels::FloatToFp16(f));
     EXPECT_NEAR(h, f, std::fabs(f) / 2048.0f + 1e-7f) << f;
-    float b = kernels::Bf16ToFloat(kernels::FloatToBf16(f));
-    EXPECT_NEAR(b, f, std::fabs(f) / 256.0f + 1e-7f) << f;
   }
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -343,10 +282,6 @@ TEST(KernelsTest, HalfConversionRoundTrip) {
   EXPECT_EQ(kernels::Fp16ToFloat(kernels::FloatToFp16(1e6f)), inf);  // ovf
   EXPECT_TRUE(std::isnan(kernels::Fp16ToFloat(kernels::FloatToFp16(nan))));
   EXPECT_EQ(kernels::Fp16ToFloat(kernels::FloatToFp16(0.0f)), 0.0f);
-  EXPECT_EQ(kernels::Bf16ToFloat(kernels::FloatToBf16(inf)), inf);
-  EXPECT_EQ(kernels::Bf16ToFloat(kernels::FloatToBf16(-inf)), -inf);
-  EXPECT_TRUE(std::isnan(kernels::Bf16ToFloat(kernels::FloatToBf16(nan))));
-  EXPECT_EQ(kernels::Bf16ToFloat(kernels::FloatToBf16(0.0f)), 0.0f);
   // 65504 is the largest finite half; its round-to-nearest-even tie (65520)
   // must bump into the infinity encoding, not wrap the exponent.
   EXPECT_EQ(kernels::Fp16ToFloat(kernels::FloatToFp16(65504.0f)), 65504.0f);
@@ -362,20 +297,13 @@ TEST(KernelsTest, ReducedPrecisionParityAcrossTiers) {
     for (size_t dim : kDims) {
       auto q = RandomVec(dim, 14 + dim);
       auto base = RandomVec(dim, 15 + dim);
-      auto h16 = EncodeHalf(base, true);
-      auto hb = EncodeHalf(base, false);
+      auto h16 = EncodeFp16(base);
       ExpectClose(table->fp16_l2sqr(q.data(), h16.data(), dim),
                   scalar->fp16_l2sqr(q.data(), h16.data(), dim), "fp16_l2",
                   dim);
       ExpectClose(table->fp16_inner_product(q.data(), h16.data(), dim),
                   scalar->fp16_inner_product(q.data(), h16.data(), dim),
                   "fp16_ip", dim);
-      ExpectClose(table->bf16_l2sqr(q.data(), hb.data(), dim),
-                  scalar->bf16_l2sqr(q.data(), hb.data(), dim), "bf16_l2",
-                  dim);
-      ExpectClose(table->bf16_inner_product(q.data(), hb.data(), dim),
-                  scalar->bf16_inner_product(q.data(), hb.data(), dim),
-                  "bf16_ip", dim);
       auto q8 = RandomI8(dim, 16 + dim);
       auto c8 = RandomI8(dim, 17 + dim);
       // Symmetric integer kernels are exact: tiers must agree bit for bit.
@@ -405,27 +333,18 @@ TEST(KernelsTest, ReducedPrecisionBatchParityAcrossTiers) {
       for (size_t n : kCounts) {
         auto q = RandomVec(dim, 18 + dim + n);
         auto base = RandomVec(n * dim, 19 + dim + n);
-        for (bool fp16 : {true, false}) {
-          auto codes = EncodeHalf(base, fp16);
-          std::vector<float> got(n), want(n);
-          auto l2 = fp16 ? table->batch_fp16_l2sqr : table->batch_bf16_l2sqr;
-          auto l2_ref =
-              fp16 ? scalar->batch_fp16_l2sqr : scalar->batch_bf16_l2sqr;
-          l2(q.data(), codes.data(), n, dim, got.data());
-          l2_ref(q.data(), codes.data(), n, dim, want.data());
-          for (size_t i = 0; i < n; ++i)
-            ExpectClose(got[i], want[i], fp16 ? "b_fp16_l2" : "b_bf16_l2",
-                        dim);
-          auto ip = fp16 ? table->batch_fp16_inner_product
-                         : table->batch_bf16_inner_product;
-          auto ip_ref = fp16 ? scalar->batch_fp16_inner_product
-                             : scalar->batch_bf16_inner_product;
-          ip(q.data(), codes.data(), n, dim, got.data());
-          ip_ref(q.data(), codes.data(), n, dim, want.data());
-          for (size_t i = 0; i < n; ++i)
-            ExpectClose(got[i], want[i], fp16 ? "b_fp16_ip" : "b_bf16_ip",
-                        dim);
-        }
+        auto codes = EncodeFp16(base);
+        std::vector<float> got(n), want(n);
+        table->batch_fp16_l2sqr(q.data(), codes.data(), n, dim, got.data());
+        scalar->batch_fp16_l2sqr(q.data(), codes.data(), n, dim, want.data());
+        for (size_t i = 0; i < n; ++i)
+          ExpectClose(got[i], want[i], "b_fp16_l2", dim);
+        table->batch_fp16_inner_product(q.data(), codes.data(), n, dim,
+                                        got.data());
+        scalar->batch_fp16_inner_product(q.data(), codes.data(), n, dim,
+                                         want.data());
+        for (size_t i = 0; i < n; ++i)
+          ExpectClose(got[i], want[i], "b_fp16_ip", dim);
         auto q8 = RandomI8(dim, 20 + dim + n);
         auto base8 = RandomI8(n * dim, 21 + dim + n);
         std::vector<int32_t> igot(n), iwant(n);
@@ -441,27 +360,20 @@ TEST(KernelsTest, ReducedPrecisionBatchParityAcrossTiers) {
 }
 
 TEST(KernelsTest, ReducedPrecisionMatchesFp32Reference) {
-  // Dispatched kernels against the fp32 kernels run on decoded copies: the
-  // half formats decode exactly, int8 after one scale multiply, so the only
-  // slack needed is accumulation order.
+  // Dispatched kernels against the fp32 kernels run on decoded copies: fp16
+  // decodes exactly, int8 after one scale multiply, so the only slack
+  // needed is accumulation order.
   const KernelTable& kt = kernels::Get();
   for (size_t dim : {size_t{31}, size_t{96}, size_t{769}}) {
     auto q = RandomVec(dim, 22 + dim);
     auto base = RandomVec(dim, 23 + dim);
     std::vector<float> dec(dim);
-    auto h16 = EncodeHalf(base, true);
+    auto h16 = EncodeFp16(base);
     for (size_t d = 0; d < dim; ++d) dec[d] = kernels::Fp16ToFloat(h16[d]);
     ExpectClose(kt.fp16_l2sqr(q.data(), h16.data(), dim),
                 kt.l2sqr(q.data(), dec.data(), dim), "fp16-ref-l2", dim);
     ExpectClose(kt.fp16_inner_product(q.data(), h16.data(), dim),
                 kt.inner_product(q.data(), dec.data(), dim), "fp16-ref-ip",
-                dim);
-    auto hb = EncodeHalf(base, false);
-    for (size_t d = 0; d < dim; ++d) dec[d] = kernels::Bf16ToFloat(hb[d]);
-    ExpectClose(kt.bf16_l2sqr(q.data(), hb.data(), dim),
-                kt.l2sqr(q.data(), dec.data(), dim), "bf16-ref-l2", dim);
-    ExpectClose(kt.bf16_inner_product(q.data(), hb.data(), dim),
-                kt.inner_product(q.data(), dec.data(), dim), "bf16-ref-ip",
                 dim);
     auto c8 = RandomI8(dim, 24 + dim);
     const float scale = 0.02f;
@@ -492,23 +404,21 @@ TEST(KernelsTest, ReducedPrecisionNanPropagatesInEveryTier) {
     for (size_t dim : {size_t{8}, size_t{769}}) {
       auto q = RandomVec(dim, 26);
       auto base = RandomVec(dim, 27);
-      auto h16 = EncodeHalf(base, true);
-      auto hb = EncodeHalf(base, false);
+      auto h16 = EncodeFp16(base);
       // NaN on the fp32 query side.
       auto qn = q;
       qn[dim / 2] = nan;
       EXPECT_TRUE(std::isnan(table->fp16_l2sqr(qn.data(), h16.data(), dim)))
           << kernels::SimdTierName(t) << " dim=" << dim;
-      EXPECT_TRUE(std::isnan(table->bf16_inner_product(qn.data(), hb.data(),
+      EXPECT_TRUE(std::isnan(table->fp16_inner_product(qn.data(), h16.data(),
                                                        dim)))
           << kernels::SimdTierName(t) << " dim=" << dim;
-      // NaN stored inside the half codes.
+      // NaN stored inside the fp16 codes.
       h16[dim / 2] = kernels::FloatToFp16(nan);
-      hb[dim / 2] = kernels::FloatToBf16(nan);
       EXPECT_TRUE(std::isnan(table->fp16_inner_product(q.data(), h16.data(),
                                                        dim)))
           << kernels::SimdTierName(t) << " dim=" << dim;
-      EXPECT_TRUE(std::isnan(table->bf16_l2sqr(q.data(), hb.data(), dim)))
+      EXPECT_TRUE(std::isnan(table->fp16_l2sqr(q.data(), h16.data(), dim)))
           << kernels::SimdTierName(t) << " dim=" << dim;
     }
   }
@@ -518,13 +428,12 @@ TEST(KernelsTest, ForcedScalarPrecisionStoreMatchesDispatched) {
   // PrecisionStore resolves the kernel table per call, so pinning the scalar
   // tier must reproduce the dispatched distances: bitwise for int8 (integer
   // accumulation plus identical float scaling), within accumulation order
-  // for the half formats.
+  // for fp16.
   const size_t dim = 96, n = 64;
   auto data = test::MakeClusteredVectors(n, dim, 4, 43);
   auto query = RandomVec(dim, 44);
   for (vecindex::Precision p :
-       {vecindex::Precision::kFp16, vecindex::Precision::kBf16,
-        vecindex::Precision::kInt8}) {
+       {vecindex::Precision::kFp16, vecindex::Precision::kInt8}) {
     for (vecindex::Metric m :
          {vecindex::Metric::kL2, vecindex::Metric::kInnerProduct,
           vecindex::Metric::kCosine}) {
@@ -560,8 +469,7 @@ TEST(KernelsTest, HnswRecallAtEachReducedPrecision) {
   auto query = RandomVec(dim, 46);
   auto truth = test::BruteForceTopK(data, dim, query.data(), k);
   for (vecindex::Precision p :
-       {vecindex::Precision::kFp16, vecindex::Precision::kBf16,
-        vecindex::Precision::kInt8}) {
+       {vecindex::Precision::kFp16, vecindex::Precision::kInt8}) {
     vecindex::HnswOptions opts;
     opts.precision = p;
     vecindex::HnswIndex index(dim, vecindex::Metric::kL2, opts);

@@ -124,83 +124,12 @@ TEST(KMeansTest, EmptyInputRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantizers
-// ---------------------------------------------------------------------------
-
-TEST(ScalarQuantizerTest, RoundTripErrorBounded) {
-  auto data = MakeClusteredVectors(200, kDim, 4, 3);
-  ScalarQuantizer sq;
-  ASSERT_TRUE(sq.Train(data.data(), 200, kDim).ok());
-  std::vector<uint8_t> code(kDim);
-  std::vector<float> decoded(kDim);
-  for (size_t i = 0; i < 200; ++i) {
-    sq.Encode(data.data() + i * kDim, code.data());
-    sq.Decode(code.data(), decoded.data());
-    // Max error per dim is half a quantization step of the dim's range.
-    float err = L2Sqr(data.data() + i * kDim, decoded.data(), kDim);
-    EXPECT_LT(err, 0.01f * kDim);
-  }
-}
-
-TEST(ScalarQuantizerTest, AsymmetricDistanceMatchesDecode) {
-  auto data = MakeClusteredVectors(50, kDim, 2, 5);
-  ScalarQuantizer sq;
-  ASSERT_TRUE(sq.Train(data.data(), 50, kDim).ok());
-  std::vector<uint8_t> code(kDim);
-  std::vector<float> decoded(kDim);
-  const float* query = data.data();
-  sq.Encode(data.data() + 10 * kDim, code.data());
-  sq.Decode(code.data(), decoded.data());
-  EXPECT_NEAR(sq.L2SqrToCode(query, code.data()),
-              L2Sqr(query, decoded.data(), kDim), 1e-3f);
-}
-
-TEST(ScalarQuantizerTest, SerializationRoundTrip) {
-  auto data = MakeClusteredVectors(100, 16, 4, 9);
-  ScalarQuantizer sq;
-  ASSERT_TRUE(sq.Train(data.data(), 100, 16).ok());
-  std::string buf;
-  common::BinaryWriter w(&buf);
-  sq.Serialize(&w);
-  ScalarQuantizer sq2;
-  common::BinaryReader r(buf);
-  ASSERT_TRUE(sq2.Deserialize(&r).ok());
-  std::vector<uint8_t> c1(16), c2(16);
-  sq.Encode(data.data(), c1.data());
-  sq2.Encode(data.data(), c2.data());
-  EXPECT_EQ(c1, c2);
-}
-
-TEST(ScalarQuantizerTest, EncodeClampsAtRangeBoundaries) {
-  // Regression: rounding (v - min) / step could land on 256 for values at or
-  // past the trained max, wrapping the uint8 code to 0 — the far end of the
-  // range. Out-of-range values must saturate at 0 / 255 instead.
-  std::vector<float> data(2 * 4);
-  for (size_t d = 0; d < 4; ++d) {
-    data[d] = 0.0f;      // trained min
-    data[4 + d] = 1.0f;  // trained max
-  }
-  ScalarQuantizer sq;
-  ASSERT_TRUE(sq.Train(data.data(), 2, 4).ok());
-  std::vector<uint8_t> code(4);
-  float above[4] = {2.0f, 1.5f, 1.001f, 100.0f};
-  sq.Encode(above, code.data());
-  for (size_t d = 0; d < 4; ++d) EXPECT_EQ(code[d], 255) << "dim " << d;
-  float below[4] = {-2.0f, -0.5f, -0.001f, -100.0f};
-  sq.Encode(below, code.data());
-  for (size_t d = 0; d < 4; ++d) EXPECT_EQ(code[d], 0) << "dim " << d;
-  // Exactly at the trained max must be the end code, not a wrap.
-  sq.Encode(data.data() + 4, code.data());
-  for (size_t d = 0; d < 4; ++d) EXPECT_EQ(code[d], 255) << "dim " << d;
-}
-
-// ---------------------------------------------------------------------------
 // PrecisionStore (reduced-precision first-pass tier, DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
 class PrecisionStoreTest : public ::testing::TestWithParam<Precision> {
  protected:
-  /// fp16/bf16 codes decode to exact fp32 values, so store distances match
+  /// fp16 codes decode to exact fp32 values, so store distances match
   /// the decoded reference up to accumulation order. int8 batch kernels
   /// quantize the query onto the shared grid (step s = maxabs/127) while
   /// the decoded reference keeps it fp32, so the allowance is the
@@ -323,11 +252,38 @@ TEST_P(PrecisionStoreTest, MemoryStaysBelowFp32Footprint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrecisions, PrecisionStoreTest,
-                         ::testing::Values(Precision::kFp16, Precision::kBf16,
-                                           Precision::kInt8),
+                         ::testing::Values(Precision::kFp16, Precision::kInt8),
                          [](const auto& info) {
                            return PrecisionName(info.param);
                          });
+
+TEST(PrecisionStoreTest, Int8SaturatesPastCalibratedRange) {
+  // Rounding v / scale past the calibrated range must saturate at +-127:
+  // a wrapped code would land at the far end of the range. HNSWSQ inserts
+  // encode through this path one row at a time.
+  constexpr size_t kDims = 4;
+  PrecisionStore store;
+  store.Configure(Precision::kInt8, kDims, Metric::kL2);
+  const float sample[kDims] = {1.0f, -1.0f, 0.5f, 0.0f};  // maxabs 1
+  store.Train(sample, 1);
+  ASSERT_TRUE(store.calibrated());
+  const float scale = 1.0f / 127.0f;
+  const float above[kDims] = {1.0f, 1.001f, 2.0f, 100.0f};
+  const float below[kDims] = {-1.0f, -1.001f, -2.0f, -100.0f};
+  store.Append(above, 1);
+  store.Append(below, 1);
+  float decoded[kDims];
+  for (size_t row = 0; row < 2; ++row) {
+    const int8_t want = row == 0 ? 127 : -127;
+    const int8_t* code = static_cast<const int8_t*>(store.RowPtr(row));
+    store.Decode(row, decoded);
+    for (size_t d = 0; d < kDims; ++d) {
+      EXPECT_EQ(code[d], want) << "row " << row << " dim " << d;
+      EXPECT_EQ(decoded[d], static_cast<float>(want) * scale)
+          << "row " << row << " dim " << d;
+    }
+  }
+}
 
 TEST(ProductQuantizerTest, AdcApproximatesTrueDistance) {
   auto data = MakeClusteredVectors(1000, kDim, 8, 13);
@@ -558,8 +514,8 @@ TEST_P(IndexParamTest, RangeSearchHonorsRadius) {
 INSTANTIATE_TEST_SUITE_P(AllIndexTypes, IndexParamTest,
                          ::testing::Values("FLAT", "HNSW", "HNSWSQ", "IVFFLAT",
                                            "IVFPQ", "IVFPQFS", "DISKANN",
-                                           "FLAT:fp16", "FLAT:bf16",
-                                           "FLAT:int8", "HNSW:fp16",
+                                           "FLAT:fp16", "FLAT:int8",
+                                           "HNSW:fp16",
                                            "HNSW:int8", "IVFFLAT:fp16",
                                            "IVFFLAT:int8"),
                          [](const auto& info) {
@@ -869,8 +825,6 @@ TEST(HnswIndexTest, SaveLoadSaveIsByteIdentical) {
   for (const char* type : {"HNSW", "HNSWSQ", "HNSW:int8"}) {
     SCOPED_TRACE(type);
     VectorIndexPtr built = MakeIndex(type, kDim);
-    if (built->NeedsTraining())
-      ASSERT_TRUE(built->Train(data.data(), n).ok());
     ASSERT_TRUE(built->AddWithIds(data.data(), ids.data(), n).ok());
     std::string saved;
     ASSERT_TRUE(built->Save(&saved).ok());
@@ -899,6 +853,73 @@ TEST(HnswIndexTest, SaveLoadSaveIsByteIdentical) {
       }
     }
   }
+}
+
+TEST(HnswIndexTest, BuiltMemoryMatchesLoaded) {
+  // A built index holds no growth slack its loaded copy lacks: the batch's
+  // codes are reserved up front, like the fp32 rows.
+  const size_t n = 1000;
+  auto data = MakeClusteredVectors(n, kDim, 10, 95);
+  auto ids = SequentialIds(n);
+  for (const char* type : {"HNSW", "HNSW:fp16", "HNSW:int8"}) {
+    SCOPED_TRACE(type);
+    VectorIndexPtr built = MakeIndex(type, kDim);
+    ASSERT_TRUE(built->AddWithIds(data.data(), ids.data(), n).ok());
+    std::string saved;
+    ASSERT_TRUE(built->Save(&saved).ok());
+    IndexSpec spec;
+    spec.type = "HNSW";
+    spec.dim = kDim;
+    auto loaded = IndexFactory::Global().CreateFromSaved(spec, saved);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(built->MemoryUsage(), (*loaded)->MemoryUsage());
+  }
+}
+
+TEST(HnswIndexTest, RetiredSqFlagIsCorruption) {
+  // The retired HNSWSQ storage form as it was saved: type "HNSWSQ", SQ flag
+  // 1, per-dimension SQ8 ranges and uint8 codes. One node without links.
+  const size_t dim = 4;
+  std::string blob;
+  common::BinaryWriter w(&blob);
+  w.WriteString("HNSWSQ");
+  w.Write<uint64_t>(dim);
+  w.Write<uint32_t>(static_cast<uint32_t>(Metric::kL2));
+  w.Write<uint64_t>(16);   // M
+  w.Write<uint64_t>(200);  // ef_construction
+  w.Write<uint8_t>(1);     // SQ flag
+  w.Write<uint8_t>(static_cast<uint8_t>(Precision::kFp32));
+  w.Write<uint32_t>(0);  // entry point
+  w.Write<int32_t>(0);   // max level
+  w.WriteVector(std::vector<IdType>{0});
+  w.WriteVector(std::vector<uint8_t>{0});  // levels
+  w.Write<uint64_t>(dim);                  // SQ8 ranges: dim, min, step
+  w.WriteVector(std::vector<float>(dim, 0.0f));
+  w.WriteVector(std::vector<float>(dim, 1.0f / 255.0f));
+  w.WriteVector(std::vector<uint8_t>(dim, 128));  // codes
+  w.Write<uint64_t>(1);                           // node count
+  w.Write<uint32_t>(1);                           // node 0: one level
+  w.Write<uint64_t>(0);                           // no links
+  IndexSpec spec;
+  spec.type = "HNSW";
+  spec.dim = dim;
+  auto reopened = IndexFactory::Global().CreateFromSaved(spec, blob);
+  EXPECT_EQ(reopened.status().code(), common::Status::Code::kCorruption)
+      << reopened.status().ToString();
+
+  // A current HNSW blob with the flag byte set is refused as well. Offset:
+  // type string "HNSW", dim, metric, M, ef_construction.
+  auto data = MakeClusteredVectors(10, dim, 2, 97);
+  auto ids = SequentialIds(10);
+  HnswIndex index(dim, Metric::kL2);
+  ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), 10).ok());
+  std::string saved;
+  ASSERT_TRUE(index.Save(&saved).ok());
+  const size_t sq_flag_at = 8 + 4 + 8 + 4 + 8 + 8;
+  ASSERT_EQ(saved[sq_flag_at], 0);
+  saved[sq_flag_at] = 1;
+  HnswIndex fresh(dim, Metric::kL2);
+  EXPECT_EQ(fresh.Load(saved).code(), common::Status::Code::kCorruption);
 }
 
 TEST(HnswIndexTest, IteratorDrainVisitsEachNodeOnce) {
@@ -1063,6 +1084,108 @@ TEST(IndexFactoryTest, HnswMOutOfRangeRejected) {
   spec.dim = 8;
   spec.params["M"] = "4096";
   EXPECT_TRUE(IndexFactory::Global().Create(spec).ok());
+}
+
+TEST(IndexFactoryTest, HnswsqIsHnswOverInt8) {
+  // HNSWSQ is an alias: HNSW over the int8 PrecisionStore, saved as HNSW.
+  const size_t n = 500;
+  auto data = MakeClusteredVectors(n, kDim, 6, 99);
+  auto ids = SequentialIds(n);
+  std::string saved[2];
+  const char* types[2] = {"HNSWSQ", "HNSW:INT8"};
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(types[i]);
+    VectorIndexPtr index = MakeIndex(types[i], kDim);
+    EXPECT_EQ(index->Type(), "HNSW");
+    EXPECT_EQ(index->StoragePrecision(), Precision::kInt8);
+    ASSERT_TRUE(index->AddWithIds(data.data(), ids.data(), n).ok());
+    ASSERT_TRUE(index->Save(&saved[i]).ok());
+  }
+  EXPECT_TRUE(saved[0] == saved[1]);
+  IndexSpec spec;
+  spec.type = "HNSWSQ";
+  spec.dim = kDim;
+  auto reopened = IndexFactory::Global().CreateFromSaved(spec, saved[0]);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->StoragePrecision(), Precision::kInt8);
+
+  for (const char* precision : {"FP16", "FP32"}) {
+    spec.params["PRECISION"] = precision;
+    auto r = IndexFactory::Global().Create(spec);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << precision;
+  }
+  spec.params["PRECISION"] = "INT8";
+  EXPECT_TRUE(IndexFactory::Global().Create(spec).ok());
+}
+
+TEST(IndexFactoryTest, RetiredPrecisionNameRejected) {
+  // The retired 16-bit brain-float format no longer parses; its long name
+  // stands in for both spellings, which retired together.
+  Precision p = Precision::kFp32;
+  EXPECT_FALSE(ParsePrecision("bfloat16", &p));
+  for (const char* type : {"FLAT", "HNSW", "IVFFLAT"}) {
+    IndexSpec spec;
+    spec.type = type;
+    spec.dim = 8;
+    spec.params["PRECISION"] = "BFLOAT16";
+    auto r = IndexFactory::Global().Create(spec);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << type;
+  }
+}
+
+TEST(IndexFactoryTest, RetiredPrecisionTagIsCorruption) {
+  // Saved precision tag 2 named a retired 16-bit format. Each blob below is
+  // a valid fp16 blob with every tag patched to 2, so the tag is its only
+  // fault.
+  const size_t n = 100, dim = 8;
+  auto data = MakeClusteredVectors(n, dim, 4, 101);
+  auto ids = SequentialIds(n);
+  const auto kCorruption = common::Status::Code::kCorruption;
+  auto patch = [](std::string* bytes, std::initializer_list<size_t> at) {
+    for (size_t i : at) {
+      ASSERT_EQ((*bytes)[i], static_cast<char>(Precision::kFp16)) << i;
+      (*bytes)[i] = 2;
+    }
+  };
+
+  // PrecisionStore: the tag is the first byte.
+  PrecisionStore store;
+  store.Configure(Precision::kFp16, dim, Metric::kL2);
+  store.Append(data.data(), n);
+  std::string store_bytes;
+  common::BinaryWriter sw(&store_bytes);
+  store.Serialize(&sw);
+  patch(&store_bytes, {0});
+  PrecisionStore loaded_store;
+  common::BinaryReader sr(store_bytes);
+  EXPECT_EQ(loaded_store.Deserialize(&sr).code(), kCorruption);
+
+  // FLAT: type string "FLAT", dim, metric, the index tag, then the store.
+  FlatIndex flat(dim, Metric::kL2, Precision::kFp16);
+  ASSERT_TRUE(flat.AddWithIds(data.data(), ids.data(), n).ok());
+  std::string flat_bytes;
+  ASSERT_TRUE(flat.Save(&flat_bytes).ok());
+  const size_t flat_tag_at = 8 + 4 + 8 + 4;
+  patch(&flat_bytes, {flat_tag_at, flat_tag_at + 1});
+  FlatIndex flat_loaded(dim, Metric::kL2);
+  EXPECT_EQ(flat_loaded.Load(flat_bytes).code(), kCorruption);
+
+  // IVF-flat with one list: type string "IVFFLAT", dim, metric, the index
+  // tag, nlist, size, centroids, list count, list 0's ids, list 0's store.
+  IvfOptions opts;
+  opts.nlist = 1;
+  IvfFlatIndex ivf(dim, Metric::kL2, opts, Precision::kFp16);
+  ASSERT_TRUE(ivf.Train(data.data(), n).ok());
+  ASSERT_TRUE(ivf.AddWithIds(data.data(), ids.data(), n).ok());
+  std::string ivf_bytes;
+  ASSERT_TRUE(ivf.Save(&ivf_bytes).ok());
+  const size_t ivf_tag_at = 8 + 7 + 8 + 4;
+  const size_t list_store_at = ivf_tag_at + 1 + 8 + 8 +
+                               (8 + sizeof(float) * dim) + 8 +
+                               (8 + sizeof(IdType) * n);
+  patch(&ivf_bytes, {ivf_tag_at, list_store_at});
+  IvfFlatIndex ivf_loaded(dim, Metric::kL2, opts);
+  EXPECT_EQ(ivf_loaded.Load(ivf_bytes).code(), kCorruption);
 }
 
 TEST(IndexSpecTest, GetIntParsesAndDefaults) {
