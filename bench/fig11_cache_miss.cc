@@ -142,8 +142,8 @@ int main() {
            const baselines::BlendHouseSystem::AccumulatedExecStats& s) {
           double n = s.queries > 0 ? static_cast<double>(s.queries) : 1.0;
           std::printf("%-24s %10.0f %12.0f %12.0f %12.0f\n", label,
-                      s.exec_micros / n, s.queue_wait_micros / n,
-                      s.compute_micros / n, s.sim_io_micros / n);
+                      s.exec_micros / n, s.ledger.queue_wait_micros / n,
+                      s.ledger.compute_micros / n, s.ledger.sim_io_micros / n);
         };
     std::printf(
         "\nExecStats breakdown (executor-driven, per-query averages, us):\n");

@@ -82,9 +82,10 @@ void PrintBreakdownRow(const char* label, size_t write_threads,
                        const baselines::BlendHouseSystem::AccumulatedExecStats&
                            s) {
   double n = s.queries > 0 ? static_cast<double>(s.queries) : 1.0;
-  std::printf("%-10s %6zu %12.0f %12.0f %12.0f %12.0f %8zu\n", label,
-              write_threads, s.exec_micros / n, s.queue_wait_micros / n,
-              s.compute_micros / n, s.sim_io_micros / n, s.retries);
+  std::printf("%-10s %6zu %12.0f %12.0f %12.0f %12.0f %8llu\n", label,
+              write_threads, s.exec_micros / n, s.ledger.queue_wait_micros / n,
+              s.ledger.compute_micros / n, s.ledger.sim_io_micros / n,
+              static_cast<unsigned long long>(s.ledger.retries));
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ double RunConfig(const Config& cfg, const baselines::BenchDataset& data,
   // One instrumented query for the pruning stats.
   auto probe = system.db().Query(system.BuildSearchSql(
       {data.query(0), 10, 64, true, lo, hi}));
-  *segments_scanned = probe.ok() ? probe->stats.segments_scanned : 0;
+  *segments_scanned = probe.ok() ? probe->stats.ledger.segments_scanned : 0;
 
   return bench::SystemQps(system, data, 10, 64, 300, true, lo, hi).qps;
 }

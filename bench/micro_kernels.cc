@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -541,10 +542,17 @@ double MeasureScanRowsPerSec(vecindex::Precision p, vecindex::Metric m,
   return static_cast<double>(iters * kBatchRows) / timer.ElapsedSeconds();
 }
 
+/// Median of an odd-sized sample (the middle element once sorted).
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 /// Sweeps fp32/fp16/int8 x metrics x dims, prints the table, writes
 /// BENCH_micro_kernels.json, and (under BH_BENCH_ASSERT=1) gates on the
 /// two-tier pipeline's premise: at least one of int8/fp16 must scan >= 1.5x
-/// faster than fp32 at dim 768.
+/// faster than fp32 at l2, dim 768, in the median of five interleaved
+/// trials.
 bool RunReducedPrecisionSweep() {
   const size_t kSweepDims[] = {96, 768};
   const struct {
@@ -579,14 +587,35 @@ bool RunReducedPrecisionSweep() {
     }
   }
 
-  auto speedup = [&](vecindex::Precision p, const char* metric, size_t dim) {
-    for (const SweepEntry& e : entries)
-      if (e.precision == p && e.dim == dim &&
-          std::string(e.metric) == metric)
-        return e.rows_per_sec /
-               fp32_baseline[std::string(metric) + "/" + std::to_string(dim)];
-    return 0.0;
+  // The gate point is measured again in interleaved trials: each trial
+  // scans fp32, fp16 and int8 back to back, so a slow stretch of the host
+  // hits the three alike, and the gate takes the median ratio per tier.
+  constexpr int kGateTrials = 5;
+  std::vector<double> fp16_ratios, int8_ratios;
+  for (int t = 0; t < kGateTrials; ++t) {
+    const auto l2 = vecindex::Metric::kL2;
+    double fp32 = MeasureScanRowsPerSec(vecindex::Precision::kFp32, l2, 768);
+    fp16_ratios.push_back(
+        MeasureScanRowsPerSec(vecindex::Precision::kFp16, l2, 768) / fp32);
+    int8_ratios.push_back(
+        MeasureScanRowsPerSec(vecindex::Precision::kInt8, l2, 768) / fp32);
+  }
+  const double fp16_median = Median(fp16_ratios);
+  const double int8_median = Median(int8_ratios);
+  auto join = [](const std::vector<double>& v) {
+    std::string out;
+    char buf[32];
+    for (size_t i = 0; i < v.size(); ++i) {
+      std::snprintf(buf, sizeof(buf), i == 0 ? "%.3f" : ", %.3f", v[i]);
+      out += buf;
+    }
+    return out;
   };
+  std::printf("\nvs fp32 at l2/768 over %d interleaved trials:\n", kGateTrials);
+  std::printf("  fp16 [%s] median %.2fx\n", join(fp16_ratios).c_str(),
+              fp16_median);
+  std::printf("  int8 [%s] median %.2fx\n", join(int8_ratios).c_str(),
+              int8_median);
 
   std::FILE* f = std::fopen("BENCH_micro_kernels.json", "w");
   if (f != nullptr) {
@@ -606,10 +635,13 @@ bool RunReducedPrecisionSweep() {
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
+                 "  \"trials_vs_fp32_l2_768\": {\"fp16\": [%s], "
+                 "\"int8\": [%s]},\n",
+                 join(fp16_ratios).c_str(), join(int8_ratios).c_str());
+    std::fprintf(f,
                  "  \"speedup_vs_fp32_l2_768\": {\"fp16\": %.3f, "
                  "\"int8\": %.3f}\n",
-                 speedup(vecindex::Precision::kFp16, "l2", 768),
-                 speedup(vecindex::Precision::kInt8, "l2", 768));
+                 fp16_median, int8_median);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\n(sweep written to BENCH_micro_kernels.json)\n");
@@ -617,17 +649,19 @@ bool RunReducedPrecisionSweep() {
 
   if (const char* gate = std::getenv("BH_BENCH_ASSERT");
       gate != nullptr && gate[0] == '1') {
-    double best = std::max(speedup(vecindex::Precision::kFp16, "l2", 768),
-                           speedup(vecindex::Precision::kInt8, "l2", 768));
+    double best = std::max(fp16_median, int8_median);
     if (best < 1.5) {
       std::fprintf(stderr,
                    "BENCH ASSERT FAILED: best reduced-precision scan speedup "
-                   "%.2fx < 1.5x (fp16/int8 vs fp32, l2, dim 768)\n",
-                   best);
+                   "%.2fx < 1.5x (median of %d trials, fp16/int8 vs fp32, "
+                   "l2, dim 768)\n",
+                   best, kGateTrials);
       return false;
     }
-    std::printf("bench assert: reduced-precision scan speedup %.2fx >= 1.5x\n",
-                best);
+    std::printf(
+        "bench assert: reduced-precision scan speedup %.2fx >= 1.5x (median "
+        "of %d trials)\n",
+        best, kGateTrials);
   }
   return true;
 }

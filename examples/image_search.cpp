@@ -106,9 +106,9 @@ int main() {
   std::printf(
       "\nexecution: strategy=%s, %zu/%zu segments scanned after pruning"
       " (scalar kept %zu, semantic kept %zu)\n",
-      sql::ExecStrategyName(stats.strategy), stats.segments_scanned,
-      stats.segments_total, stats.segments_after_scalar_prune,
-      stats.segments_after_semantic_prune);
+      sql::ExecStrategyName(stats.strategy),
+      static_cast<size_t>(stats.ledger.segments_scanned), stats.segments_total,
+      stats.segments_after_scalar_prune, stats.segments_after_semantic_prune);
 
   // Realtime update: reclassify one image and re-query (Fig. 6 mechanism:
   // new version + delete bitmap, no index rebuild).

@@ -1,10 +1,9 @@
 #include "cluster/scheduler.h"
 
-#include <memory>
 #include <unordered_set>
 #include <utility>
 
-#include "common/mutex.h"
+#include "common/future.h"
 
 namespace blendhouse::cluster {
 
@@ -46,28 +45,15 @@ std::map<std::string, std::vector<storage::SegmentMeta>> Scheduler::Assign(
   return assignment;
 }
 
-namespace {
-/// Fan-in state for PreloadIndexesAsync: first error wins, the promise fires
-/// when the last outstanding load resolves.
-struct PreloadFanIn {
-  common::Mutex mu{common::lockrank::kQueryFanIn};
-  common::Status first_error GUARDED_BY(mu);
-  size_t outstanding GUARDED_BY(mu) = 0;
-  common::Promise<common::Status> done;
-};
-}  // namespace
-
-common::Future<common::Status> PreloadIndexesAsync(
-    VirtualWarehouse& vw, const storage::TableSchema& schema,
-    const storage::TableSnapshot& snapshot) {
+common::Status PreloadIndexes(VirtualWarehouse& vw,
+                              const storage::TableSchema& schema,
+                              const storage::TableSnapshot& snapshot) {
   // Same ring placement as the query scheduler, so preloaded indexes land
-  // exactly where queries will look for them.
+  // exactly where queries will look for them. Every load starts before the
+  // first wait, so they overlap on the workers' loaders and the delay queue.
   auto assignment =
       Scheduler::Assign(vw, schema.table_name, snapshot.segments);
   common::TaskScheduler* sched = &vw.task_scheduler();
-  auto fan_in = std::make_shared<PreloadFanIn>();
-  common::Future<common::Status> result = fan_in->done.GetFuture();
-
   std::vector<common::Future<common::Status>> loads;
   for (const auto& [worker_id, metas] : assignment) {
     Worker* worker = vw.worker(worker_id);
@@ -75,35 +61,12 @@ common::Future<common::Status> PreloadIndexesAsync(
     for (const storage::SegmentMeta& meta : metas)
       loads.push_back(worker->PreloadIndexAsync(sched, schema, meta));
   }
-  if (loads.empty()) {
-    fan_in->done.SetValue(common::Status::Ok());
-    return result;
+  common::Status first_error;
+  for (common::Future<common::Status>& load : loads) {
+    common::Status s = load.Get();
+    if (!s.ok() && first_error.ok()) first_error = std::move(s);
   }
-  {
-    common::MutexLock lock(fan_in->mu);
-    fan_in->outstanding = loads.size();
-  }
-  for (auto& fut : loads) {
-    fut.Then(sched, [fan_in](common::Status s) {
-      bool last = false;
-      common::Status aggregate;
-      {
-        common::MutexLock lock(fan_in->mu);
-        if (!s.ok() && fan_in->first_error.ok())
-          fan_in->first_error = std::move(s);
-        last = --fan_in->outstanding == 0;
-        if (last) aggregate = fan_in->first_error;
-      }
-      if (last) fan_in->done.SetValue(std::move(aggregate));
-    });
-  }
-  return result;
-}
-
-common::Status PreloadIndexes(VirtualWarehouse& vw,
-                              const storage::TableSchema& schema,
-                              const storage::TableSnapshot& snapshot) {
-  return PreloadIndexesAsync(vw, schema, snapshot).Get();
+  return first_error;
 }
 
 }  // namespace blendhouse::cluster

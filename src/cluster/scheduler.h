@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cluster/virtual_warehouse.h"
-#include "common/future.h"
 #include "common/status.h"
 #include "storage/partitioner.h"
 #include "storage/segment.h"
@@ -52,16 +51,10 @@ class Scheduler {
 /// query scheduler will route it to. Eliminates cold-start misses for
 /// freshly ingested data.
 ///
-/// Fully async: every per-segment load runs under a deferred-charge scope on
-/// its worker's loader pool and completes through the VW task scheduler's
-/// delay queue, so simulated remote reads overlap instead of serializing.
-/// The returned future resolves to Ok, or the first failure, once every load
-/// finished.
-common::Future<common::Status> PreloadIndexesAsync(
-    VirtualWarehouse& vw, const storage::TableSchema& schema,
-    const storage::TableSnapshot& snapshot);
-
-/// Blocking convenience wrapper over PreloadIndexesAsync for sync callers.
+/// Every per-segment load runs under a deferred-charge scope on its
+/// worker's loader pool and completes through the VW task scheduler's delay
+/// queue, so simulated remote reads overlap instead of serializing. Returns
+/// Ok, or the first failure, once every load finished.
 common::Status PreloadIndexes(VirtualWarehouse& vw,
                               const storage::TableSchema& schema,
                               const storage::TableSnapshot& snapshot);

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "vecindex/flat_index.h"
-#include "vecindex/scan_counters.h"
 
 namespace blendhouse::cluster {
 
@@ -220,42 +219,6 @@ size_t RpcPayloadBytes(size_t dim, size_t k) {
   return dim * sizeof(float) + k * (sizeof(vecindex::IdType) + sizeof(float));
 }
 }  // namespace
-
-common::Result<vecindex::SearchIterator::Stats> Worker::StreamSearch(
-    const storage::TableSchema& schema, const storage::SegmentMeta& meta,
-    const float* query, const vecindex::SearchParams& params,
-    size_t batch_size,
-    const std::function<bool(const std::vector<vecindex::Neighbor>&)>& sink,
-    const AcquireOptions& opts, common::QueryLedger* ledger) {
-  if (batch_size == 0)
-    return common::Status::InvalidArgument(
-        "stream search: batch_size must be positive");
-  // The whole stream runs synchronously on this thread, so the scope's
-  // delta is exactly this call's distance work (see scan_counters.h).
-  vecindex::scanstats::ScanCounterScope scan_scope;
-  auto acquired = AcquireIndex(schema, meta, opts);
-  if (!acquired.ok()) return acquired.status();
-  auto iter = acquired->index->MakeIterator(query, params);
-  if (!iter.ok()) return iter.status();
-  for (;;) {
-    std::vector<vecindex::Neighbor> batch = (*iter)->Next(batch_size);
-    if (batch.empty()) break;
-    rpc_->Charge(RpcPayloadBytes(acquired->index->Dim(), batch.size()));
-    if (!sink(batch)) break;
-  }
-  vecindex::SearchIterator::Stats stats = (*iter)->GetStats();
-  if (ledger != nullptr) {
-    vecindex::scanstats::TierCounts scans = scan_scope.Delta();
-    for (size_t i = 0; i < vecindex::scanstats::kNumTiers; ++i)
-      ledger->distance_comps[i] += scans.dist[i];
-    ledger->rows_scanned += scans.total();
-    ledger->iter_batches += stats.batches;
-    ledger->iter_rows_visited += stats.rows_visited;
-    ledger->iter_recompute_rounds += stats.recompute_rounds;
-    ledger->segments_scanned += 1;
-  }
-  return stats;
-}
 
 common::Result<std::vector<vecindex::Neighbor>>
 RemoteIndexProxy::SearchWithFilter(

@@ -9,7 +9,6 @@
 #include "cluster/rpc.h"
 #include "common/bitset.h"
 #include "common/future.h"
-#include "common/query_ledger.h"
 #include "common/result.h"
 #include "common/task_scheduler.h"
 #include "storage/lsm_engine.h"
@@ -135,23 +134,6 @@ class Worker {
   common::Future<common::Status> PreloadIndexAsync(
       common::TaskScheduler* sched, const storage::TableSchema& schema,
       const storage::SegmentMeta& meta);
-
-  /// Streaming-batches search over one segment: acquires the segment's
-  /// index, opens its (native when available) resumable iterator, and pushes
-  /// successive sorted batches to `sink`, charging the RPC fabric per batch
-  /// the way the one-shot path charges per call. `sink` returns false to
-  /// stop the stream early (the coordinator already has enough rows — the
-  /// iterator's retained state is what makes stopping cheap). Returns the
-  /// iterator's final cost accounting. When `ledger` is non-null the call's
-  /// resource usage (per-tier distance computations, iterator stats) is
-  /// folded into it, so a remote stage's cost attributes to the owning
-  /// query's system.query_log record.
-  common::Result<vecindex::SearchIterator::Stats> StreamSearch(
-      const storage::TableSchema& schema, const storage::SegmentMeta& meta,
-      const float* query, const vecindex::SearchParams& params,
-      size_t batch_size,
-      const std::function<bool(const std::vector<vecindex::Neighbor>&)>& sink,
-      const AcquireOptions& opts = {}, common::QueryLedger* ledger = nullptr);
 
   common::LruCache<storage::SegmentPtr>& segment_cache() { return segment_cache_; }
 

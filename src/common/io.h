@@ -11,6 +11,14 @@
 
 namespace blendhouse::common {
 
+/// Whether an array read back holds exactly `rows * width` elements.
+/// Divides instead of multiplying, so corrupt counts cannot wrap the
+/// product.
+inline bool LengthIsProduct(uint64_t length, uint64_t rows, uint64_t width) {
+  return rows == 0 ? length == 0
+                   : length % rows == 0 && length / rows == width;
+}
+
 /// Appends POD values and vectors to a byte string. Used for serializing
 /// segments and vector indexes to the object store.
 class BinaryWriter {

@@ -56,8 +56,9 @@ inline constexpr int kLsmMemtable = 940;
 /// while submitting to the flush pool.
 inline constexpr int kLsmPending = 930;
 
-/// baselines::BlendHouseSystem::stats_mu_ — per-epoch ExecStats fold; folds
-/// run in query completion continuations with no other lock held.
+/// baselines::BlendHouseSystem::stats_mu_ — the accumulator of finished
+/// searches' exec time and ledgers; a search folds in after its query has
+/// returned, with no other lock held.
 inline constexpr int kBaselineStats = 900;
 
 /// storage::LsmEngine::partitioner_mu_ — copy-on-train partitioner publish;
@@ -81,9 +82,9 @@ inline constexpr int kVirtualWarehouse = 800;
 /// sql::PlanCache::mu_ — plan-signature LRU.
 inline constexpr int kPlanCache = 700;
 
-/// Per-query fan-in state (sql::Executor::AttemptState::mu,
-/// cluster::PreloadFanIn::mu): streaming top-k folds and preload joins.
-/// Completion promises are fired after this lock is released.
+/// Per-query fan-in state (sql::Executor::AttemptState::mu): streaming
+/// top-k and ledger folds. The completion promise is fired after this lock
+/// is released.
 inline constexpr int kQueryFanIn = 600;
 
 /// trace::Span::mu_ — span record mutation. End() copies under the lock and
@@ -102,8 +103,8 @@ inline constexpr int kTraceSink = 460;
 /// ring and the profile map's lock-free histograms.
 inline constexpr int kQueryLog = 440;
 
-/// common::internal::FutureState::mu_ — promise/future shared state.
-/// Continuations run (or are handed to the scheduler) outside this lock.
+/// common::internal::FutureState::mu_ — promise/future shared state. Held
+/// only to store or take the value; waiters are woken after it is released.
 inline constexpr int kFuture = 400;
 
 /// storage::ObjectStore::mu_ — simulated remote store map + cost model.

@@ -7,19 +7,16 @@ namespace blendhouse::common {
 
 /// Per-query resource ledger (DESIGN.md §15).
 ///
-/// One struct unifying what used to be scattered across ExecStats fields,
-/// span tags, and process-global counters: the executor populates it while
-/// a query runs (segment tasks fold their per-thread scan-counter deltas
-/// in through SegmentTaskResult, worker streaming calls add theirs
-/// directly), and the query-history layer drains it into the finished
-/// query's `system.query_log` record at query end. It lives in common/ so
-/// both the cluster layer (Worker::StreamSearch attribution) and the SQL
-/// layer can fill it without a dependency cycle.
+/// The one record of what a query's execution did. Each segment task of the
+/// executor fills its own ledger (per-thread scan-counter deltas, iterator
+/// stats, cache outcomes, filter-cache traffic); the attempt folds those
+/// with Merge, and the query-history layer drains the query's total into
+/// its `system.query_log` record at query end. It lives in common/ so the
+/// SQL and core layers share it without a dependency on cluster/.
 ///
 /// Latency fields are micros. The three breakdown fields are summed over
 /// all segment tasks of the query, so overlapped tasks sum past the wall
-/// time; with a single in-flight task they add up to ~exec time (the same
-/// contract as ExecStats).
+/// time; with a single in-flight task they add up to ~exec time.
 struct QueryLedger {
   // ---- Latency breakdown ----
   double queue_wait_micros = 0;
@@ -42,6 +39,10 @@ struct QueryLedger {
   uint64_t iter_recompute_rounds = 0;
 
   // ---- Cache traffic ----
+  /// How each scanned segment got its index, indexed by
+  /// cluster::CacheOutcome (memory hit, disk hit, remote load, remote
+  /// serving, brute force).
+  uint64_t cache_outcomes[5] = {0, 0, 0, 0, 0};
   uint64_t filter_cache_hits = 0;
   uint64_t filter_cache_misses = 0;
 
@@ -55,8 +56,7 @@ struct QueryLedger {
     return distance_comps[0] + distance_comps[1] + distance_comps[2];
   }
 
-  /// Folds another ledger's tallies into this one (per-segment results,
-  /// streaming sub-calls).
+  /// Folds another ledger's tallies into this one (per-segment results).
   void Merge(const QueryLedger& o) {
     queue_wait_micros += o.queue_wait_micros;
     compute_micros += o.compute_micros;
@@ -67,6 +67,7 @@ struct QueryLedger {
     iter_batches += o.iter_batches;
     iter_rows_visited += o.iter_rows_visited;
     iter_recompute_rounds += o.iter_recompute_rounds;
+    for (size_t i = 0; i < 5; ++i) cache_outcomes[i] += o.cache_outcomes[i];
     filter_cache_hits += o.filter_cache_hits;
     filter_cache_misses += o.filter_cache_misses;
     segments_scanned += o.segments_scanned;

@@ -19,12 +19,6 @@ void RunTask(MoveOnlyFn task) {
 
 }  // namespace
 
-namespace internal {
-void ScheduleContinuation(TaskScheduler* sched, MoveOnlyFn cont) {
-  sched->Schedule(std::move(cont));
-}
-}  // namespace internal
-
 TaskScheduler::TaskScheduler(size_t num_threads)
     : tasks_total_metric_(metrics::MetricsRegistry::Instance().GetCounter(
           "bh_scheduler_tasks_total")),

@@ -520,9 +520,13 @@ common::Result<sql::QueryResult> BlendHouse::RunSelect(
   root->SetTag("type", is_ann ? "ann" : "scalar");
   root->SetTag("fingerprint", HexFingerprint(fingerprint_hash));
 
+  // Plan and execution facts of this query. Plan fills the plan-cache flags
+  // and Execute the rest, on failure too.
+  sql::ExecStats stats;
+
   // Runs at every exit — success and both failure paths — so every finished
   // query gets exactly one tail-retention decision and one query-log record.
-  auto finish = [&](const common::Status& status, const sql::ExecStats& stats) {
+  auto finish = [&](const common::Status& status) {
     double latency = root->ElapsedMicros();
     m.query_micros->Record(latency);
     root->End();
@@ -557,8 +561,9 @@ common::Result<sql::QueryResult> BlendHouse::RunSelect(
     rec.plan_micros = stats.plan_micros;
     rec.exec_micros = stats.exec_micros;
     rec.ledger = stats.ledger;
-    // Queries that died before execution have an empty breakdown; their
-    // wall time was all inline work.
+    // An empty breakdown means no segment task ran: a scalar scan, a query
+    // that failed before execution or one whose attempts all failed. Its
+    // wall time was inline work on this thread.
     if (rec.ledger.compute_micros + rec.ledger.sim_io_micros +
             rec.ledger.queue_wait_micros ==
         0)
@@ -570,25 +575,24 @@ common::Result<sql::QueryResult> BlendHouse::RunSelect(
   // runs under a deferred scope so its simulated I/O is attributed to the
   // plan span, then paid once afterwards — total latency is unchanged, but
   // EXPLAIN ANALYZE can reconcile span I/O against the store's counters.
-  sql::ExecStats pre_stats;
   trace::SpanPtr plan_span = trace->StartSpan("plan", root);
   uint64_t plan_sim = 0;
   auto plan = [&] {
     common::DeferredChargeScope scope;
-    auto p = Plan(sql, select, table, settings, &pre_stats);
+    auto p = Plan(sql, select, table, settings, &stats);
     plan_sim = scope.accumulated_micros();
     return p;
   }();
   double plan_micros = plan_span->ElapsedMicros();
   plan_span->SetBreakdown(plan_micros, static_cast<double>(plan_sim), 0);
-  plan_span->SetTag("plan_cache", pre_stats.used_plan_cache ? "hit" : "miss");
+  plan_span->SetTag("plan_cache", stats.used_plan_cache ? "hit" : "miss");
   plan_span->End();
   if (plan_sim > 0) common::ChargeSimLatency(plan_sim);
   m.plan_micros->Record(plan_micros);
-  pre_stats.plan_micros = plan_micros;
+  stats.plan_micros = plan_micros;
   if (!plan.ok()) {
     m.query_failures->Add(1);
-    finish(plan.status(), pre_stats);
+    finish(plan.status());
     return plan.status();
   }
 
@@ -596,17 +600,9 @@ common::Result<sql::QueryResult> BlendHouse::RunSelect(
   executor.SetTrace(trace, root);
   if (executor_topology_hook_for_test_)
     executor.SetTopologyHookForTest(executor_topology_hook_for_test_);
-  auto result = executor.Execute(*plan, *table->engine);
-
-  if (!result.ok()) {
-    m.query_failures->Add(1);
-    finish(result.status(), pre_stats);
-    return result.status();
-  }
-  result->stats.plan_micros = plan_micros;
-  result->stats.used_plan_cache = pre_stats.used_plan_cache;
-  result->stats.used_short_circuit = pre_stats.used_short_circuit;
-  finish(common::Status::Ok(), result->stats);
+  auto result = executor.Execute(*plan, *table->engine, &stats);
+  if (!result.ok()) m.query_failures->Add(1);
+  finish(result.status());
   return result;
 }
 

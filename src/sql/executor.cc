@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -152,16 +153,8 @@ struct Executor::AttemptState {
   /// starts without draining stragglers) or when the last task folded.
   bool completed GUARDED_BY(mu) = false;
   common::Status first_error GUARDED_BY(mu);
-  size_t segments_scanned GUARDED_BY(mu) = 0;
-  size_t rounds GUARDED_BY(mu) = 0;
-  std::array<size_t, 5> cache_outcomes GUARDED_BY(mu){};
-  size_t filter_cache_hits GUARDED_BY(mu) = 0;
-  size_t filter_cache_misses GUARDED_BY(mu) = 0;
-  uint64_t queue_wait_micros GUARDED_BY(mu) = 0;
-  uint64_t compute_micros GUARDED_BY(mu) = 0;
-  uint64_t sim_io_micros GUARDED_BY(mu) = 0;
-  /// Fold of the segment tasks' ledger slices (scan counters, iterator
-  /// stats, rerank rows); merged into ExecStats::ledger on success.
+  /// Fold of the segment tasks' ledgers and their scheduler time
+  /// breakdowns; merged into ExecStats::ledger when the attempt wins.
   common::QueryLedger ledger GUARDED_BY(mu);
   common::Promise<common::Status> done;
 
@@ -181,43 +174,35 @@ struct Executor::AttemptState {
 };
 
 common::Result<QueryResult> Executor::Execute(const OptimizedQuery& query,
-                                              storage::LsmEngine& engine) {
-  ExecStats stats;
-  stats.strategy = query.choice.strategy;
-  stats.rules_fired = query.rules_fired;
+                                              storage::LsmEngine& engine,
+                                              ExecStats* stats) {
+  stats->strategy = query.choice.strategy;
+  stats->rules_fired = query.rules_fired;
   // Every execution traces; callers that never attached one simply drop the
   // private trace on return. The span's wall clock doubles as exec_micros,
   // so there is no separate ad-hoc timer to keep consistent with the spans.
   if (trace_ == nullptr) trace_ = trace::Trace::Make("query");
   exec_span_ = trace_->StartSpan("execute", parent_span_);
   exec_span_->SetTag("strategy", ExecStrategyName(query.choice.strategy));
-  auto result = query.bound.has_ann ? ExecuteAnn(query, engine, &stats)
-                                    : ExecuteScalar(query, engine, &stats);
-  stats.exec_micros = exec_span_->ElapsedMicros();
-  exec_span_->SetBreakdown(stats.compute_micros, stats.sim_io_micros,
-                           stats.queue_wait_micros);
+  auto result = query.bound.has_ann ? ExecuteAnn(query, engine, stats)
+                                    : ExecuteScalar(query, engine, stats);
+  const common::QueryLedger& ledger = stats->ledger;
+  stats->exec_micros = exec_span_->ElapsedMicros();
+  exec_span_->SetBreakdown(ledger.compute_micros, ledger.sim_io_micros,
+                           ledger.queue_wait_micros);
   exec_span_->End();
   exec_span_ = nullptr;
-  // Mirror the breakdown and the per-field tallies into the unified ledger.
-  // Inline paths (scalar scans) never populate the async breakdown; charge
-  // their wall time as compute so the ledger always accounts the query.
-  stats.ledger.queue_wait_micros = stats.queue_wait_micros;
-  stats.ledger.compute_micros = stats.compute_micros;
-  stats.ledger.sim_io_micros = stats.sim_io_micros;
-  if (stats.ledger.compute_micros + stats.ledger.sim_io_micros +
-          stats.ledger.queue_wait_micros ==
-      0)
-    stats.ledger.compute_micros = stats.exec_micros;
-  stats.ledger.filter_cache_hits = stats.filter_cache_hits;
-  stats.ledger.filter_cache_misses = stats.filter_cache_misses;
-  stats.ledger.segments_scanned = stats.segments_scanned;
-  stats.ledger.retries = stats.retries;
   static common::metrics::HistogramMetric* exec_hist =
       common::metrics::MetricsRegistry::Instance().GetHistogram(
           "bh_sql_exec_micros");
-  exec_hist->Record(stats.exec_micros);
+  exec_hist->Record(stats->exec_micros);
+  // The mirrors perfbench/blendbench.cc reads by name.
+  stats->queue_wait_micros = ledger.queue_wait_micros;
+  stats->sim_io_micros = ledger.sim_io_micros;
+  std::copy(std::begin(ledger.cache_outcomes), std::end(ledger.cache_outcomes),
+            stats->cache_outcomes.begin());
   if (!result.ok()) return result.status();
-  result->stats = stats;
+  result->stats = *stats;
   return result;
 }
 
@@ -328,8 +313,8 @@ common::Result<QueryResult> Executor::ExecuteAnn(const OptimizedQuery& query,
     return r;
   }();
   double mat_compute = static_cast<double>(ElapsedMicros(mat_start));
-  stats->compute_micros += mat_compute;
-  stats->sim_io_micros += static_cast<double>(mat_sim);
+  stats->ledger.compute_micros += mat_compute;
+  stats->ledger.sim_io_micros += static_cast<double>(mat_sim);
   mat_span->SetTag("rows", std::to_string(out.ok() ? out->rows.size() : 0));
   mat_span->SetBreakdown(mat_compute, static_cast<double>(mat_sim), 0);
   mat_span->End();
@@ -427,9 +412,12 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
                 common::Status outcome;
                 {
                   common::MutexLock lock(state->mu);
-                  state->queue_wait_micros += ts.queue_wait_micros;
-                  state->compute_micros += ts.compute_micros;
-                  state->sim_io_micros += ts.sim_io_micros;
+                  common::QueryLedger& ledger = state->ledger;
+                  ledger.queue_wait_micros +=
+                      static_cast<double>(ts.queue_wait_micros);
+                  ledger.compute_micros +=
+                      static_cast<double>(ts.compute_micros);
+                  ledger.sim_io_micros += static_cast<double>(ts.sim_io_micros);
                   if (!slot->skipped) {
                     if (!slot->status.ok()) {
                       // First failure completes the attempt immediately (the
@@ -444,13 +432,7 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
                         outcome = state->first_error;
                       }
                     } else {
-                      ++state->segments_scanned;
-                      state->rounds += slot->rounds;
-                      for (size_t i = 0; i < slot->cache_outcomes.size(); ++i)
-                        state->cache_outcomes[i] += slot->cache_outcomes[i];
-                      state->filter_cache_hits += slot->filter_cache_hits;
-                      state->filter_cache_misses += slot->filter_cache_misses;
-                      state->ledger.Merge(slot->ledger);
+                      ledger.Merge(slot->ledger);
                       for (Candidate& c : slot->candidates)
                         state->FoldCandidate(std::move(c));
                     }
@@ -476,16 +458,6 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
       common::Status status = done.Get();
       if (status.ok()) {
         common::MutexLock lock(state->mu);
-        stats->segments_scanned += state->segments_scanned;
-        stats->postfilter_rounds += state->rounds;
-        for (size_t i = 0; i < state->cache_outcomes.size(); ++i)
-          stats->cache_outcomes[i] += state->cache_outcomes[i];
-        stats->filter_cache_hits += state->filter_cache_hits;
-        stats->filter_cache_misses += state->filter_cache_misses;
-        stats->queue_wait_micros +=
-            static_cast<double>(state->queue_wait_micros);
-        stats->compute_micros += static_cast<double>(state->compute_micros);
-        stats->sim_io_micros += static_cast<double>(state->sim_io_micros);
         stats->ledger.Merge(state->ledger);
         // Winning attempt's fan-out width (workers tasks were dispatched to).
         stats->ledger.workers_fanout += resolved.size();
@@ -508,7 +480,7 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
                  ? common::Status::Aborted("worker set changed during query")
                  : failure;
     }
-    ++stats->retries;
+    ++stats->ledger.retries;
   }
 }
 
@@ -568,7 +540,7 @@ Executor::SegmentTaskResult Executor::RunSegment(
         result.status = segment.status();
         return result;
       }
-      result.cache_outcomes[static_cast<size_t>(
+      result.ledger.cache_outcomes[static_cast<size_t>(
           cluster::CacheOutcome::kBruteForce)]++;
       const storage::Column* vec_col =
           (*segment)->FindColumn(bound.vector_column);
@@ -638,7 +610,7 @@ Executor::SegmentTaskResult Executor::RunSegment(
                       '#' + ctx.compiled_filter->fingerprint();
           cached = worker->GetCachedFilterBitmap(cache_key);
           if (cached != nullptr) {
-            ++result.filter_cache_hits;
+            ++result.ledger.filter_cache_hits;
             if (span != nullptr) span->SetTag("filter_cache", "hit");
           }
         }
@@ -662,7 +634,7 @@ Executor::SegmentTaskResult Executor::RunSegment(
             return result;
           }
           if (!cache_key.empty()) {
-            ++result.filter_cache_misses;
+            ++result.ledger.filter_cache_misses;
             worker->PutFilterBitmap(cache_key, *fresh);
           }
           cached = std::move(*fresh);
@@ -695,7 +667,7 @@ Executor::SegmentTaskResult Executor::RunSegment(
         result.status = acquired.status();
         return result;
       }
-      result.cache_outcomes[static_cast<size_t>(acquired->outcome)]++;
+      result.ledger.cache_outcomes[static_cast<size_t>(acquired->outcome)]++;
       widen_for_rerank(*acquired->index);
       common::Result<std::vector<vecindex::Neighbor>> hits =
           bound.range >= 0
@@ -726,7 +698,7 @@ Executor::SegmentTaskResult Executor::RunSegment(
         result.status = acquired.status();
         return result;
       }
-      result.cache_outcomes[static_cast<size_t>(acquired->outcome)]++;
+      result.ledger.cache_outcomes[static_cast<size_t>(acquired->outcome)]++;
       widen_for_rerank(*acquired->index);
       if (bound.filter == nullptr && bound.range < 0 && deletes == nullptr) {
         // Nothing to post-filter (no predicate, no range, no delete bitmap):
@@ -761,15 +733,14 @@ Executor::SegmentTaskResult Executor::RunSegment(
       size_t found = 0;
       // A native iterator only moves forward, so exhaustion (empty batch)
       // is its natural stop and no round cap is needed. The restart wrapper
-      // re-searches from scratch every refill and keeps the historical
-      // bound.
+      // re-searches from scratch every refill, so its refills are bounded.
+      constexpr size_t kMaxGenericIteratorRounds = 16;
       const size_t max_rounds = native ? std::numeric_limits<size_t>::max()
-                                       : settings.max_postfilter_rounds;
+                                       : kMaxGenericIteratorRounds;
       for (size_t round = 0; round < max_rounds; ++round) {
         std::vector<vecindex::Neighbor> batch = (*iter)->Next(batch_size);
         if (batch.empty()) break;
         BH_DCHECK(vecindex::IsSortedBatch(batch));
-        ++result.rounds;
         for (const vecindex::Neighbor& n : batch) {
           size_t row = static_cast<size_t>(n.id);
           if (deletes != nullptr && deletes->Test(row)) continue;
@@ -996,7 +967,7 @@ common::Result<QueryResult> Executor::ExecuteScalar(
     auto segment = owner->GetSegment(schema, meta.segment_id,
                                      settings_.use_column_cache);
     if (!segment.ok()) return segment.status();
-    ++stats->segments_scanned;
+    ++stats->ledger.segments_scanned;
     const common::Bitset* deletes = snapshot.DeletesFor(meta.segment_id);
 
     std::optional<PredicateEvaluator> eval;

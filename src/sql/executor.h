@@ -17,42 +17,32 @@
 
 namespace blendhouse::sql {
 
-/// Per-query execution telemetry, surfaced to benches and tests.
+/// What one query's execution did: the plan facts, and the ledger of the
+/// work its segment tasks and the caller thread performed (DESIGN.md §15).
+/// Execute fills it on success and on failure alike.
 struct ExecStats {
   ExecStrategy strategy = ExecStrategy::kPostFilter;
   size_t segments_total = 0;
   size_t segments_after_scalar_prune = 0;
   size_t segments_after_semantic_prune = 0;
-  size_t segments_scanned = 0;
-  /// Indexed by cluster::CacheOutcome.
-  std::array<size_t, 5> cache_outcomes{};
-  /// Worker-level filter-bitmap cache traffic (pre-filter segments with a
-  /// predicate only; a hit skips BuildBitmap entirely).
-  size_t filter_cache_hits = 0;
-  size_t filter_cache_misses = 0;
-  size_t postfilter_rounds = 0;
   size_t adaptive_expansions = 0;
-  size_t retries = 0;
   bool used_plan_cache = false;
   bool used_short_circuit = false;
   int rules_fired = 0;
   double plan_micros = 0;
+  /// Wall time of the query's "execute" span.
   double exec_micros = 0;
-  /// Async execution time breakdown, fed from the task scheduler: time
-  /// segment tasks spent queued on worker pools, wall time actually
-  /// computing, and simulated I/O charged through the delay queue. Summed
-  /// over all segment tasks of the query — overlapped tasks therefore sum
-  /// past exec_micros; with a single in-flight task the three add up to
-  /// ~exec_micros.
-  double queue_wait_micros = 0;
-  double compute_micros = 0;
-  double sim_io_micros = 0;
-  /// Unified per-query resource ledger (DESIGN.md §15): the fields above are
-  /// mirrored into it at Execute() end, and segment tasks contribute the
-  /// parts only they can see (per-precision-tier distance computations,
-  /// iterator batch stats, fp32-rerank rows, fan-out counts). RunSelect
-  /// drains this into system.query_log.
+  /// The one record of the execution's work: latency breakdown, scan and
+  /// iterator counts, cache outcomes and traffic, fan-out, retries. Segment
+  /// tallies are those of the winning attempt, so a query whose retries
+  /// all failed reports none. RunSelect drains it into system.query_log.
   common::QueryLedger ledger;
+
+  /// Copies of ledger fields under the names perfbench/blendbench.cc reads;
+  /// assigned at the end of Execute. Nothing in the engine reads them.
+  double queue_wait_micros = 0;
+  double sim_io_micros = 0;
+  std::array<size_t, 5> cache_outcomes{};
 };
 
 struct QueryResult {
@@ -78,9 +68,12 @@ class Executor {
     parent_span_ = std::move(parent);
   }
 
-  /// Runs an optimized SELECT against one table's engine.
+  /// Runs an optimized SELECT against one table's engine. `*stats` may
+  /// already hold the planning facts; Execute adds the execution's, and
+  /// leaves them there on failure too. A successful result carries a copy.
   common::Result<QueryResult> Execute(const OptimizedQuery& query,
-                                      storage::LsmEngine& engine);
+                                      storage::LsmEngine& engine,
+                                      ExecStats* stats);
 
   /// UPDATE/DELETE support: (segment_id, row offsets) of all committed rows
   /// matching `filter` (deleted rows excluded). Null filter matches all.
@@ -104,13 +97,10 @@ class Executor {
 
   struct SegmentTaskResult {
     std::vector<Candidate> candidates;
-    std::array<size_t, 5> cache_outcomes{};
-    size_t filter_cache_hits = 0;
-    size_t filter_cache_misses = 0;
-    size_t rounds = 0;
     /// Ledger slice this task produced: per-tier distance computations from
     /// the thread-local scan counters (a segment task runs start-to-finish
-    /// on one pool thread), iterator stats, and fp32-rerank rows.
+    /// on one pool thread), iterator stats, fp32-rerank rows, the cache
+    /// outcome of its index and its filter-cache traffic.
     common::QueryLedger ledger;
     common::Status status;
     /// True when the task observed its attempt's cancel flag and did no
@@ -124,7 +114,8 @@ class Executor {
   /// cancelled attempt can never dangle into the caller's stack frame.
   struct QueryContext;
   /// Per-attempt streaming merge state: bounded top-k heap, outstanding
-  /// counter, cancel flag, time breakdown, completion promise.
+  /// counter, cancel flag, the fold of its tasks' ledgers, completion
+  /// promise.
   struct AttemptState;
 
   common::Result<QueryResult> ExecuteAnn(const OptimizedQuery& query,

@@ -53,12 +53,6 @@ struct QuerySettings {
   // ---- Disaggregation behaviour (Fig. 11/18) ----
   cluster::AcquireOptions acquire;
 
-  /// Refill rounds bound for the post-filter loop when it is served by the
-  /// generic restart wrapper (each round re-searches from scratch, so the
-  /// loop must be bounded). Native resumable iterators ignore this: they
-  /// only ever move forward, so exhaustion is their natural stop.
-  size_t max_postfilter_rounds = 16;
-
   /// Query-level retries on worker/scheduling failures (fault tolerance).
   size_t max_query_retries = 1;
 

@@ -545,8 +545,11 @@ common::Status DiskAnnIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&l_build));
   BH_RETURN_IF_ERROR(r.Read(&alpha));
   BH_RETURN_IF_ERROR(r.Read(&pq_m));
+  if (!SavedDimValid(dim))
+    return common::Status::Corruption("diskann: bad dim");
+  if (!MetricFromTag(metric, &metric_))
+    return common::Status::Corruption("diskann: bad metric");
   dim_ = dim;
-  metric_ = static_cast<Metric>(metric);
   dist_ = ResolveDistance(metric_);
   options_.R = big_r;
   options_.L_build = l_build;
@@ -556,13 +559,32 @@ common::Status DiskAnnIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.ReadVector(&ids_));
   BH_RETURN_IF_ERROR(pq_.Deserialize(&r));
   BH_RETURN_IF_ERROR(r.ReadVector(&pq_codes_));
+  // Every search starts at the medoid and scores nodes by their PQ codes.
+  if (!ids_.empty() && medoid_ >= ids_.size())
+    return common::Status::Corruption("diskann: medoid out of range");
+  if ((!ids_.empty() && pq_.dim() != dim_) ||
+      !common::LengthIsProduct(pq_codes_.size(), ids_.size(), pq_.code_size()))
+    return common::Status::Corruption("diskann: pq code array mismatch");
   uint64_t num_blocks = 0;
   BH_RETURN_IF_ERROR(r.Read(&num_blocks));
   if (num_blocks != ids_.size())
     return common::Status::Corruption("diskann: block count mismatch");
   disk_blocks_.assign(num_blocks, {});
-  for (std::string& block : disk_blocks_)
+  // Search reads dim floats from a block and follows its neighbor ids
+  // unchecked, so both are checked here, as HNSW checks its links.
+  std::vector<float> vector;
+  std::vector<uint32_t> neighbors;
+  for (std::string& block : disk_blocks_) {
     BH_RETURN_IF_ERROR(r.ReadString(&block));
+    common::BinaryReader br(block);
+    BH_RETURN_IF_ERROR(br.ReadVector(&vector));
+    BH_RETURN_IF_ERROR(br.ReadVector(&neighbors));
+    if (vector.size() != dim_)
+      return common::Status::Corruption("diskann: block vector mismatch");
+    for (uint32_t nb : neighbors)
+      if (nb >= num_blocks)
+        return common::Status::Corruption("diskann: dangling neighbor");
+  }
   block_cache_.Clear();
   sealed_ = true;
   return common::Status::Ok();

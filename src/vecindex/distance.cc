@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 
 #include "vecindex/scan_counters.h"
 
@@ -57,6 +58,16 @@ bool PrecisionFromTag(uint8_t tag, Precision* out) {
       return true;
   }
   return false;
+}
+
+bool MetricFromTag(uint32_t tag, Metric* out) {
+  if (tag > static_cast<uint32_t>(Metric::kCosine)) return false;
+  *out = static_cast<Metric>(tag);
+  return true;
+}
+
+bool SavedDimValid(uint64_t dim) {
+  return dim > 0 && dim <= std::numeric_limits<size_t>::max() / sizeof(float);
 }
 
 size_t PrecisionBytes(Precision p) {

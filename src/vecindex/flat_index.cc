@@ -267,10 +267,12 @@ common::Status FlatIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&dim));
   BH_RETURN_IF_ERROR(r.Read(&metric));
   BH_RETURN_IF_ERROR(r.Read(&precision_tag));
+  if (!SavedDimValid(dim)) return common::Status::Corruption("flat: bad dim");
+  if (!MetricFromTag(metric, &metric_))
+    return common::Status::Corruption("flat: bad metric");
   if (!PrecisionFromTag(precision_tag, &precision_))
     return common::Status::Corruption("flat: bad precision tag");
   dim_ = dim;
-  metric_ = static_cast<Metric>(metric);
   dist_ = ResolveDistance(metric_);
   data_.clear();
   norms_.clear();
@@ -291,7 +293,7 @@ common::Status FlatIndex::Load(std::string_view in) {
   }
   BH_RETURN_IF_ERROR(r.ReadVector(&data_));
   BH_RETURN_IF_ERROR(r.ReadVector(&ids_));
-  if (ids_.size() * dim_ != data_.size())
+  if (!common::LengthIsProduct(data_.size(), ids_.size(), dim_))
     return common::Status::Corruption("flat: size mismatch");
   // Derived state (not serialized): identity-id detection for the
   // filter-aware scan path.

@@ -475,8 +475,10 @@ common::Status HnswIndex::Load(std::string_view in) {
     return common::Status::Corruption("hnsw: bad precision tag");
   if (m == 0 || m > HnswOptions::kMaxM)
     return common::Status::Corruption("hnsw: M out of range");
+  if (!SavedDimValid(dim)) return common::Status::Corruption("hnsw: bad dim");
+  if (!MetricFromTag(metric, &metric_))
+    return common::Status::Corruption("hnsw: bad metric");
   dim_ = dim;
-  metric_ = static_cast<Metric>(metric);
   dist_ = ResolveDistance(metric_);
   options_.M = m;
   options_.ef_construction = efc;
@@ -496,10 +498,7 @@ common::Status HnswIndex::Load(std::string_view in) {
   const size_t n = ids_.size();
   if (levels_.size() != n)
     return common::Status::Corruption("hnsw: level count mismatch");
-  // Divide instead of multiplying: n * dim can wrap on a corrupt dim.
-  const size_t stored = data_.size();
-  if (!reduced_precision() &&
-      (n == 0 ? stored != 0 : (stored % n != 0 || stored / n != dim_)))
+  if (!reduced_precision() && !common::LengthIsProduct(data_.size(), n, dim_))
     return common::Status::Corruption("hnsw: vector array length mismatch");
   uint64_t num_nodes = 0;
   BH_RETURN_IF_ERROR(r.Read(&num_nodes));

@@ -333,17 +333,22 @@ common::Status IvfFlatIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&dim));
   BH_RETURN_IF_ERROR(r.Read(&metric));
   BH_RETURN_IF_ERROR(r.Read(&precision_tag));
+  if (!SavedDimValid(dim))
+    return common::Status::Corruption("ivfflat: bad dim");
+  if (!MetricFromTag(metric, &metric_))
+    return common::Status::Corruption("ivfflat: bad metric");
   if (!PrecisionFromTag(precision_tag, &precision_))
     return common::Status::Corruption("ivfflat: bad precision tag");
   BH_RETURN_IF_ERROR(r.Read(&nlist));
   BH_RETURN_IF_ERROR(r.Read(&size));
   dim_ = dim;
-  metric_ = static_cast<Metric>(metric);
   options_.nlist = nlist;
   size_ = size;
   BH_RETURN_IF_ERROR(r.ReadVector(&centroids_));
   uint64_t num_lists = 0;
   BH_RETURN_IF_ERROR(r.Read(&num_lists));
+  if (!common::LengthIsProduct(centroids_.size(), num_lists, dim_))
+    return common::Status::Corruption("ivfflat: centroid array mismatch");
   lists_.assign(num_lists, {});
   stores_.clear();
   if (quantized()) stores_.assign(num_lists, {});
@@ -356,6 +361,9 @@ common::Status IvfFlatIndex::Load(std::string_view in) {
         return common::Status::Corruption("ivfflat: store mismatch");
     } else {
       BH_RETURN_IF_ERROR(r.ReadVector(&lists_[i].vectors));
+      if (!common::LengthIsProduct(lists_[i].vectors.size(),
+                                   lists_[i].ids.size(), dim_))
+        return common::Status::Corruption("ivfflat: list payload mismatch");
     }
   }
   RefreshDerivedState();
@@ -484,8 +492,10 @@ common::Status IvfPqIndex::Load(std::string_view in) {
   BH_RETURN_IF_ERROR(r.Read(&m));
   BH_RETURN_IF_ERROR(r.Read(&nbits));
   BH_RETURN_IF_ERROR(r.Read(&keep_raw));
+  if (!SavedDimValid(dim)) return common::Status::Corruption("ivfpq: bad dim");
+  if (!MetricFromTag(metric, &metric_))
+    return common::Status::Corruption("ivfpq: bad metric");
   dim_ = dim;
-  metric_ = static_cast<Metric>(metric);
   options_.nlist = nlist;
   size_ = size;
   pq_options_.m = m;
@@ -494,13 +504,24 @@ common::Status IvfPqIndex::Load(std::string_view in) {
   if (type != Type()) return common::Status::Corruption("ivfpq: wrong type");
   BH_RETURN_IF_ERROR(r.ReadVector(&centroids_));
   BH_RETURN_IF_ERROR(pq_.Deserialize(&r));
+  // A trained index encodes with a codebook over its own dimension.
+  if (!centroids_.empty() && pq_.dim() != dim_)
+    return common::Status::Corruption("ivfpq: codebook dim mismatch");
   uint64_t num_lists = 0;
   BH_RETURN_IF_ERROR(r.Read(&num_lists));
+  if (!common::LengthIsProduct(centroids_.size(), num_lists, dim_))
+    return common::Status::Corruption("ivfpq: centroid array mismatch");
   lists_.assign(num_lists, {});
+  const size_t raw_width = pq_options_.keep_raw_for_refine ? dim_ : 0;
   for (auto& list : lists_) {
     BH_RETURN_IF_ERROR(r.ReadVector(&list.ids));
     BH_RETURN_IF_ERROR(r.ReadVector(&list.codes));
     BH_RETURN_IF_ERROR(r.ReadVector(&list.vectors));
+    if (!common::LengthIsProduct(list.codes.size(), list.ids.size(),
+                                 pq_.code_size()) ||
+        !common::LengthIsProduct(list.vectors.size(), list.ids.size(),
+                                 raw_width))
+      return common::Status::Corruption("ivfpq: list payload mismatch");
   }
   RefreshDerivedState();
   return common::Status::Ok();

@@ -92,7 +92,10 @@ common::Status ProductQuantizer::Deserialize(common::BinaryReader* r) {
   ks_ = ks;
   dsub_ = dsub;
   BH_RETURN_IF_ERROR(r->ReadVector(&codebooks_));
-  if (codebooks_.size() != m_ * ks_ * dsub_ || dsub_ * m_ != dim_)
+  // A code is one byte, so at most 256 centroids per subspace; the m
+  // codebooks hold ks centroids of dsub floats each, dim * ks in all.
+  if (ks_ > 256 || !common::LengthIsProduct(dim_, m_, dsub_) ||
+      !common::LengthIsProduct(codebooks_.size(), dim_, ks_))
     return common::Status::Corruption("pq: shape mismatch");
   return common::Status::Ok();
 }

@@ -283,15 +283,18 @@ common::Status PrecisionStore::Deserialize(common::BinaryReader* r) {
   BH_RETURN_IF_ERROR(r->Read(&scale_));
   if (!PrecisionFromTag(tag, &precision) || precision == Precision::kFp32)
     return common::Status::Corruption("precision store: bad precision tag");
+  if (!SavedDimValid(dim))
+    return common::Status::Corruption("precision store: bad dim");
+  if (!MetricFromTag(metric, &metric_))
+    return common::Status::Corruption("precision store: bad metric");
   precision_ = precision;
-  metric_ = static_cast<Metric>(metric);
   dim_ = dim;
   size_ = size;
   BH_RETURN_IF_ERROR(r->ReadVector(&half_));
   BH_RETURN_IF_ERROR(r->ReadVector(&i8_));
   BH_RETURN_IF_ERROR(r->ReadVector(&norms_));
   size_t codes = precision_ == Precision::kInt8 ? i8_.size() : half_.size();
-  if (codes != size_ * dim_)
+  if (!common::LengthIsProduct(codes, size_, dim_))
     return common::Status::Corruption("precision store: code size mismatch");
   if (metric_ == Metric::kCosine && norms_.size() != size_)
     return common::Status::Corruption("precision store: norm size mismatch");

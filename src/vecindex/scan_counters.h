@@ -13,10 +13,10 @@ namespace blendhouse::vecindex::scanstats {
 /// reduced-precision PrecisionStore scan entry points, and the graph
 /// indexes' per-hop helpers — bumps a plain thread_local tally here. A
 /// query's segment task runs start-to-finish on one pool thread (the
-/// executor's RunSegment closure, a worker's StreamSearch call), so a
-/// ScanCounterScope installed around that work reads the per-tier deltas
-/// afterwards and attributes them to the owning query's ledger, without
-/// the kernels knowing anything about queries.
+/// executor's RunSegment closure), so a ScanCounterScope installed around
+/// that work reads the per-tier deltas afterwards and attributes them to
+/// the owning query's ledger, without the kernels knowing anything about
+/// queries.
 ///
 /// Cost: one thread_local add per *batch* call on the batched tiers and
 /// one per hop on the graph tiers — noise next to the kernel work itself

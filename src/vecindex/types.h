@@ -34,6 +34,14 @@ bool ParsePrecision(const std::string& name, Precision* out);
 /// above 3, which loaders report as corruption.
 bool PrecisionFromTag(uint8_t tag, Precision* out);
 
+/// Reads a saved metric tag; false above 2, which loaders report as
+/// corruption.
+bool MetricFromTag(uint32_t tag, Metric* out);
+
+/// Whether a saved vector dimension is usable: not 0, and small enough that
+/// one vector's bytes fit in size_t. Loaders report any other as corruption.
+bool SavedDimValid(uint64_t dim);
+
 /// Bytes one encoded dimension occupies.
 size_t PrecisionBytes(Precision p);
 

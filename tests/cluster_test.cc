@@ -275,50 +275,6 @@ TEST_F(ClusterFixture, WorkerAcquireAndSearch) {
   EXPECT_EQ(warm->outcome, CacheOutcome::kMemoryHit);
 }
 
-TEST_F(ClusterFixture, StreamSearchDeliversSortedBatches) {
-  IngestRows(300);
-  Worker worker("w0", &store_, &rpc_, FastWorkerOptions());
-  auto meta = engine_->Snapshot().segments[0];
-  AcquireOptions force_load;
-  force_load.force_local_load = true;
-
-  vecindex::SearchParams params;
-  params.k = 10;
-  std::vector<vecindex::Neighbor> streamed;
-  uint64_t rpc_before = rpc_.bytes();
-  auto stats = worker.StreamSearch(
-      schema_, meta, query_.data(), params, /*batch_size=*/16,
-      [&](const std::vector<vecindex::Neighbor>& batch) {
-        EXPECT_TRUE(vecindex::IsSortedBatch(batch));
-        EXPECT_LE(batch.size(), 16u);
-        streamed.insert(streamed.end(), batch.begin(), batch.end());
-        return streamed.size() < 64;  // consumer stops after ~4 batches
-      },
-      force_load);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(streamed.size(), 64u);
-  EXPECT_LT(streamed.size(), 100u);  // early stop: segment not drained
-  EXPECT_GE(stats->batches, 4u);
-  EXPECT_GT(stats->rows_visited, 0u);
-  // Every served batch was charged to the fabric.
-  EXPECT_GT(rpc_.bytes(), rpc_before);
-  // No duplicate ids across the streamed prefix.
-  std::set<vecindex::IdType> ids;
-  for (const auto& nb : streamed) EXPECT_TRUE(ids.insert(nb.id).second);
-}
-
-TEST_F(ClusterFixture, StreamSearchRejectsZeroBatch) {
-  IngestRows(100);
-  Worker worker("w0", &store_, &rpc_, FastWorkerOptions());
-  auto meta = engine_->Snapshot().segments[0];
-  vecindex::SearchParams params;
-  params.k = 5;
-  auto stats = worker.StreamSearch(
-      schema_, meta, query_.data(), params, /*batch_size=*/0,
-      [](const std::vector<vecindex::Neighbor>&) { return true; });
-  EXPECT_FALSE(stats.ok());
-}
-
 TEST_F(ClusterFixture, ColdWorkerDefaultsToBruteForceFallback) {
   // The paper's default on an unservable cache miss: answer the query NOW
   // with exact distances instead of blocking on an index load.
@@ -383,6 +339,23 @@ TEST_F(ClusterFixture, VectorSearchServingViaPreviousOwner) {
   auto hits = acquired->index->SearchWithFilter(query_.data(), params);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), 5u);
+
+  // The served index's iterator (the post-filter path) pays one RPC per
+  // batch, and its batches keep the sorted, duplicate-free contract.
+  auto iter = acquired->index->MakeIterator(query_.data(), params);
+  ASSERT_TRUE(iter.ok()) << iter.status().ToString();
+  std::set<vecindex::IdType> ids;
+  for (int b = 0; b < 4; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    uint64_t rpc_before = rpc_.bytes();
+    std::vector<vecindex::Neighbor> batch = (*iter)->Next(16);
+    EXPECT_GT(rpc_.bytes(), rpc_before);
+    ASSERT_FALSE(batch.empty());
+    EXPECT_LE(batch.size(), 16u);
+    EXPECT_TRUE(vecindex::IsSortedBatch(batch));
+    for (const vecindex::Neighbor& nb : batch)
+      EXPECT_TRUE(ids.insert(nb.id).second) << "duplicate id " << nb.id;
+  }
 }
 
 TEST_F(ClusterFixture, PreloadWarmsExactlyTheOwners) {

@@ -366,30 +366,6 @@ TEST(ConcurrencyTest, TaskSchedulerDeferredChargeAccumulates) {
   EXPECT_LT(elapsed_ms, 300);
 }
 
-TEST(ConcurrencyTest, FutureThenContinuationsAcrossThreads) {
-  common::TaskScheduler sched(2);
-  constexpr int kChains = 100;
-  std::atomic<int> finished{0};
-  std::vector<common::Future<int>> tails;
-  std::vector<common::Promise<int>> heads(kChains);
-  tails.reserve(kChains);
-  for (int i = 0; i < kChains; ++i) {
-    tails.push_back(heads[i].GetFuture().Then(&sched, [](int v) {
-      return v * 2;
-    }).Then(&sched, [&finished](int v) {
-      finished.fetch_add(1);
-      return v + 1;
-    }));
-  }
-  // Fulfill from a racing thread while continuations attach/run.
-  std::thread setter([&heads] {
-    for (int i = 0; i < kChains; ++i) heads[i].SetValue(i);
-  });
-  for (int i = 0; i < kChains; ++i) EXPECT_EQ(tails[i].Get(), i * 2 + 1);
-  setter.join();
-  EXPECT_EQ(finished.load(), kChains);
-}
-
 TEST(ConcurrencyTest, TaskSchedulerCancellationShortCircuits) {
   common::TaskScheduler sched(2);
   auto cancelled = std::make_shared<std::atomic<bool>>(false);

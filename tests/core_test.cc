@@ -167,13 +167,13 @@ TEST_F(BlendHouseE2E, FilterBitmapCacheHitsOnRepeat) {
 
   auto r1 = db_->QueryWithSettings(sql, settings);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_GT(r1->stats.filter_cache_misses, 0u);
+  EXPECT_GT(r1->stats.ledger.filter_cache_misses, 0u);
 
   // Second identical query: every segment bitmap comes from the worker cache.
   auto r2 = db_->QueryWithSettings(sql, settings);
   ASSERT_TRUE(r2.ok());
-  EXPECT_GT(r2->stats.filter_cache_hits, 0u);
-  EXPECT_EQ(r2->stats.filter_cache_misses, 0u);
+  EXPECT_GT(r2->stats.ledger.filter_cache_hits, 0u);
+  EXPECT_EQ(r2->stats.ledger.filter_cache_misses, 0u);
   ASSERT_EQ(r2->rows.size(), r1->rows.size());
   for (size_t i = 0; i < r1->rows.size(); ++i)
     EXPECT_EQ(std::get<int64_t>(r2->rows[i].values[0]),
@@ -184,7 +184,7 @@ TEST_F(BlendHouseE2E, FilterBitmapCacheHitsOnRepeat) {
   ASSERT_TRUE(db_->ExecuteSql("DELETE FROM items WHERE attr < 10;").ok());
   auto r3 = db_->QueryWithSettings(sql, settings);
   ASSERT_TRUE(r3.ok());
-  EXPECT_GT(r3->stats.filter_cache_misses, 0u);
+  EXPECT_GT(r3->stats.ledger.filter_cache_misses, 0u);
   for (const auto& row : r3->rows)
     EXPECT_GE(std::get<int64_t>(row.values[1]), 10);
 
@@ -192,8 +192,8 @@ TEST_F(BlendHouseE2E, FilterBitmapCacheHitsOnRepeat) {
   settings.use_filter_bitmap_cache = false;
   auto r4 = db_->QueryWithSettings(sql, settings);
   ASSERT_TRUE(r4.ok());
-  EXPECT_EQ(r4->stats.filter_cache_hits, 0u);
-  EXPECT_EQ(r4->stats.filter_cache_misses, 0u);
+  EXPECT_EQ(r4->stats.ledger.filter_cache_hits, 0u);
+  EXPECT_EQ(r4->stats.ledger.filter_cache_misses, 0u);
 }
 
 TEST_F(BlendHouseE2E, PreFilterDeletesOnlyExcludesDeleted) {
@@ -1081,7 +1081,7 @@ TEST_F(BlendHouseRetry, TopologyChangeMidQueryRetriesOnceAndSucceeds) {
   auto result = db_->Query(Query());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(), 5u);
-  EXPECT_EQ(result->stats.retries, 1u);
+  EXPECT_EQ(result->stats.ledger.retries, 1u);
   EXPECT_GE(hook_calls, 2u);
 }
 
@@ -1091,6 +1091,30 @@ TEST_F(BlendHouseRetry, ExhaustedRetriesReturnAborted) {
   auto result = db_->Query(Query());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), common::Status::Code::kAborted);
+}
+
+TEST_F(BlendHouseRetry, ExhaustedRetriesKeepTheirLedger) {
+  // A query that runs out of retries is logged with what its execution did:
+  // the retry it made and the time it spent executing. No attempt won, so
+  // it reports no segment tallies.
+  sql::QuerySettings settings = db_->options().settings;
+  settings.max_query_retries = 1;
+  db_->SetExecutorTopologyHookForTest([&](size_t) { ReplaceAllWorkers(); });
+  auto result = db_->QueryWithSettings(Query(), settings);
+  db_->SetExecutorTopologyHookForTest(nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), common::Status::Code::kAborted);
+
+  auto log = db_->Query(
+      "SELECT status, retries, exec_micros, segments_scanned "
+      "FROM system.query_log;");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->rows.size(), 1u);
+  const std::vector<storage::Value>& rec = log->rows[0].values;
+  EXPECT_EQ(std::get<std::string>(rec[0]), "error");
+  EXPECT_EQ(std::get<int64_t>(rec[1]), 1);
+  EXPECT_GT(std::get<double>(rec[2]), 0.0);
+  EXPECT_EQ(std::get<int64_t>(rec[3]), 0);
 }
 
 TEST_F(BlendHouseRetry, RetriesCountedInStats) {
@@ -1106,7 +1130,7 @@ TEST_F(BlendHouseRetry, RetriesCountedInStats) {
   auto result = db_->QueryWithSettings(Query(), settings);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(sabotaged, 2u);
-  EXPECT_EQ(result->stats.retries, 2u);
+  EXPECT_EQ(result->stats.ledger.retries, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1151,11 +1175,12 @@ TEST(BlendHouseExecStats, BreakdownSumsToExecMicros) {
                ") LIMIT 5;");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const sql::ExecStats& stats = result->stats;
-  EXPECT_EQ(stats.segments_scanned, 1u);
+  const common::QueryLedger& ledger = stats.ledger;
+  EXPECT_EQ(ledger.segments_scanned, 1u);
   // The 20 ms remote index load dominates; it must show up as sim-I/O.
-  EXPECT_GE(stats.sim_io_micros, 20000.0);
-  double sum = stats.queue_wait_micros + stats.compute_micros +
-               stats.sim_io_micros;
+  EXPECT_GE(ledger.sim_io_micros, 20000.0);
+  double sum = ledger.queue_wait_micros + ledger.compute_micros +
+               ledger.sim_io_micros;
   EXPECT_GT(stats.exec_micros, 0.0);
   // Accounted time covers the execution minus scheduling/merge overhead;
   // generous bounds keep this robust on loaded CI machines.

@@ -12,16 +12,13 @@
 #include <chrono>
 #include <thread>
 
-#include "common/future.h"
 #include "common/lock_rank.h"
 #include "common/mutex.h"
 
 namespace lockrank = blendhouse::common::lockrank;
 using blendhouse::common::CondVar;
-using blendhouse::common::Future;
 using blendhouse::common::Mutex;
 using blendhouse::common::MutexLock;
-using blendhouse::common::Promise;
 
 namespace {
 
@@ -101,23 +98,6 @@ TEST_F(LockRankTest, CallbackUnderLockDies) {
         Mutex mu{lockrank::kQueryFanIn};
         MutexLock lock(mu);
         lockrank::AssertNoneHeld("test callback");
-      },
-      "callback-under-lock");
-}
-
-TEST_F(LockRankTest, InlineContinuationUnderLockDies) {
-  SKIP_IF_CHECKS_COMPILED_OUT();
-  // The PR5 RemoveWorker shape, reproduced end to end: fulfilling a promise
-  // whose continuation runs inline, while still inside a critical section.
-  // The guard in FutureState::Set fires before the continuation can deadlock.
-  EXPECT_DEATH(
-      {
-        Promise<int> p;
-        Future<int> f = p.GetFuture();
-        f.Then(nullptr, [](int) {});  // no scheduler: runs inline on Set
-        Mutex mu{lockrank::kQueryFanIn};
-        MutexLock lock(mu);
-        p.SetValue(7);
       },
       "callback-under-lock");
 }

@@ -555,7 +555,7 @@ TEST_F(TelemetryE2E, RetriedQueryKeepsSpanTreeComplete) {
   db_->SetExecutorTopologyHookForTest(nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(), 5u);
-  EXPECT_GE(result->stats.retries, 1u);
+  EXPECT_GE(result->stats.ledger.retries, 1u);
 
   ASSERT_GE(db_->trace_sink().size(), 1u);
   auto finished = db_->trace_sink().Traces().back();
@@ -618,7 +618,7 @@ TEST_F(TelemetryE2E, SpanSimIoReconcilesWithObjectStoreCounter) {
   EXPECT_EQ(scans, 5u);  // 500 rows / 100-row segments
   EXPECT_NEAR(span_sim, static_cast<double>(counter_delta), 0.5);
   // The query's own async stats agree with its spans too.
-  EXPECT_NEAR(result->stats.sim_io_micros + [&] {
+  EXPECT_NEAR(result->stats.ledger.sim_io_micros + [&] {
     double plan_and_mat = 0;
     for (const auto& s : finished.spans)
       if (s.name == "plan") plan_and_mat += s.sim_io_micros;

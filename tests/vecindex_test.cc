@@ -1188,6 +1188,78 @@ TEST(IndexFactoryTest, RetiredPrecisionTagIsCorruption) {
   EXPECT_EQ(ivf_loaded.Load(ivf_bytes).code(), kCorruption);
 }
 
+TEST(IndexFactoryTest, LoadRejectsInconsistentHeaders) {
+  // Every index blob starts with its type string (a uint64 length, then the
+  // name), the uint64 dim and the uint32 metric tag. Each case patches one
+  // of them in a valid blob: the load must report corruption instead of
+  // crashing or coming back with the wrong shape.
+  const auto kCorruption = common::Status::Code::kCorruption;
+  auto dim_at = [](const VectorIndex& index) {
+    return sizeof(uint64_t) + index.Type().size();
+  };
+  auto put = [](std::string* bytes, size_t at, auto value) {
+    ASSERT_LE(at + sizeof(value), bytes->size());
+    std::memcpy(bytes->data() + at, &value, sizeof(value));
+  };
+  const size_t n = 100, dim = 8;
+  auto data = MakeClusteredVectors(n, dim, 4, 103);
+  auto ids = SequentialIds(n);
+
+  // IVF-flat, cosine, two lists, dim 0: deriving the lists' cosine norms
+  // divides by the dimension.
+  IvfOptions opts;
+  opts.nlist = 2;
+  IvfFlatIndex ivf(dim, Metric::kCosine, opts);
+  ASSERT_TRUE(ivf.AddWithIds(data.data(), ids.data(), n).ok());
+  std::string ivf_bytes;
+  ASSERT_TRUE(ivf.Save(&ivf_bytes).ok());
+  put(&ivf_bytes, dim_at(ivf), uint64_t{0});
+  IvfFlatIndex ivf_loaded(dim, Metric::kCosine, opts);
+  EXPECT_EQ(ivf_loaded.Load(ivf_bytes).code(), kCorruption);
+
+  // FLAT with metric tag 7.
+  FlatIndex flat(dim, Metric::kL2);
+  ASSERT_TRUE(flat.AddWithIds(data.data(), ids.data(), n).ok());
+  std::string flat_bytes;
+  ASSERT_TRUE(flat.Save(&flat_bytes).ok());
+  put(&flat_bytes, dim_at(flat) + sizeof(uint64_t), uint32_t{7});
+  FlatIndex flat_loaded(dim, Metric::kL2);
+  EXPECT_EQ(flat_loaded.Load(flat_bytes).code(), kCorruption);
+
+  // An empty FLAT claiming dim 2^63: ids * dim wraps to the empty array's
+  // length, and one vector of that dimension has no byte size.
+  FlatIndex empty(dim, Metric::kL2);
+  std::string empty_bytes;
+  ASSERT_TRUE(empty.Save(&empty_bytes).ok());
+  put(&empty_bytes, dim_at(empty), uint64_t{1} << 63);
+  FlatIndex empty_loaded(dim, Metric::kL2);
+  EXPECT_EQ(empty_loaded.Load(empty_bytes).code(), kCorruption);
+
+  // Metric tag 3, one past cosine, in every other loader.
+  auto big = MakeClusteredVectors(kN, kDim, 10, 21);
+  auto big_ids = SequentialIds(kN);
+  for (const char* type : {"IVFFLAT", "IVFPQ", "HNSW", "DISKANN"}) {
+    SCOPED_TRACE(type);
+    VectorIndexPtr index = MakeIndex(type, kDim);
+    ASSERT_TRUE(index->AddWithIds(big.data(), big_ids.data(), kN).ok());
+    std::string bytes;
+    ASSERT_TRUE(index->Save(&bytes).ok());
+    put(&bytes, dim_at(*index) + sizeof(uint64_t), uint32_t{3});
+    EXPECT_EQ(MakeIndex(type, kDim)->Load(bytes).code(), kCorruption);
+  }
+  // The reduced-precision store: a uint8 precision tag, then a uint8 metric.
+  PrecisionStore store;
+  store.Configure(Precision::kFp16, dim, Metric::kL2);
+  store.Append(data.data(), n);
+  std::string store_bytes;
+  common::BinaryWriter sw(&store_bytes);
+  store.Serialize(&sw);
+  put(&store_bytes, 1, uint8_t{3});
+  PrecisionStore loaded_store;
+  common::BinaryReader sr(store_bytes);
+  EXPECT_EQ(loaded_store.Deserialize(&sr).code(), kCorruption);
+}
+
 TEST(IndexSpecTest, GetIntParsesAndDefaults) {
   IndexSpec spec;
   spec.params["M"] = "32";
@@ -1250,6 +1322,37 @@ TEST(DiskAnnTest, DiskReadsCountedAndCached) {
   before = index.disk_reads();
   ASSERT_TRUE(index.SearchWithFilter(data.data(), p).ok());
   EXPECT_LT(index.disk_reads() - before, first_query / 2 + 1);
+}
+
+TEST(DiskAnnTest, LoadRejectsDanglingNeighbor) {
+  // Search follows a node block's neighbor ids unchecked, so a saved block
+  // naming a node past the end must fail the load, not a later search.
+  const size_t n = 200, dim = 8;
+  auto data = MakeClusteredVectors(n, dim, 4, 79);
+  auto ids = SequentialIds(n);
+  DiskAnnOptions opts;
+  opts.simulate_disk_latency = false;
+  DiskAnnIndex index(dim, Metric::kL2, opts);
+  ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), n).ok());
+  std::string bytes;
+  ASSERT_TRUE(index.Save(&bytes).ok());
+  // Node 0's block: its vector (a uint64 count, then row 0), then its
+  // neighbor ids (a uint64 count, then uint32 ids).
+  std::string row0(sizeof(uint64_t) + dim * sizeof(float), '\0');
+  const uint64_t count = dim;
+  std::memcpy(row0.data(), &count, sizeof(count));
+  std::memcpy(row0.data() + sizeof(count), data.data(), dim * sizeof(float));
+  size_t at = bytes.find(row0);
+  ASSERT_NE(at, std::string::npos);
+  at += row0.size();
+  uint64_t num_neighbors = 0;
+  std::memcpy(&num_neighbors, bytes.data() + at, sizeof(num_neighbors));
+  ASSERT_GT(num_neighbors, 0u);
+  const uint32_t dangling = 1u << 30;
+  std::memcpy(bytes.data() + at + sizeof(num_neighbors), &dangling,
+              sizeof(dangling));
+  DiskAnnIndex loaded(dim, Metric::kL2, opts);
+  EXPECT_EQ(loaded.Load(bytes).code(), common::Status::Code::kCorruption);
 }
 
 TEST(DiskAnnTest, MemoryFootprintFarBelowHnsw) {

@@ -6,9 +6,8 @@ common::Mutex declarations, the CAPABILITY/REQUIRES/GUARDED_BY annotations,
 and the call edges between functions, and builds the global lock-acquisition
 graph: which mutexes (by rank label) can be held when each other mutex is
 acquired, and which functions invoke externally supplied callbacks
-(MoveOnlyFn, std::function, Future continuations via Promise::SetValue /
-Future::Then) while holding a lock — the shape of the PR5 RemoveWorker
-deadlock.
+(MoveOnlyFn, std::function) while holding a lock — the shape of the PR5
+RemoveWorker deadlock.
 
 Reported as errors (exit 1):
 
@@ -28,8 +27,8 @@ Reported as errors (exit 1):
                        time (release your own before locking a victim's).
   cycle                a cycle in the label-level acquisition graph.
   callback-under-lock  an externally supplied callable invoked — directly or
-                       through a call chain (e.g. Promise::SetValue firing an
-                       inline continuation) — inside a held-lock region.
+                       through a call chain (e.g. a method that runs a
+                       stored MoveOnlyFn) — inside a held-lock region.
 
 Suppress one finding with a  lockgraph:allow(<rule>)  comment on the line.
 The analysis is deliberately conservative about resolution: an edge is only
