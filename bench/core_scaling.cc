@@ -5,8 +5,8 @@
 // The host may have a single core, so the curve is driven by in-flight
 // concurrency over SIMULATED I/O rather than raw CPU parallelism: a cache
 // budget too small to retain any index forces every query through the disk
-// tier, and the charged latency parks on the scheduler's delay queue
-// without occupying a thread. More threads => more overlapped waits =>
+// tier, and the charged latency is paid by the query's waiting client
+// thread, not by a pool thread. More threads => more overlapped waits =>
 // higher QPS, until the host's compute or the scheduler's one queue
 // flattens the curve.
 //
@@ -47,10 +47,10 @@ ScalePoint ReadQpsAtConcurrency(size_t threads,
   opts.index_params["EF_CONSTRUCTION"] = "40";
   // Constant per-query simulated I/O (the fig11 cold-tier recipe): a memory
   // budget too small to retain any index plus forced local loads sends every
-  // query through the disk tier, and the charge is deferred onto the delay
-  // queue where concurrent queries overlap it. The tier's base latency is
-  // raised well above this workload's ~1ms of per-query compute so the
-  // curve stays I/O-bound across the whole sweep — otherwise a single
+  // query through the disk tier, and the charge is deferred to the waiting
+  // client thread, so concurrent queries overlap it. The tier's base
+  // latency is raised well above this workload's ~1ms of per-query compute
+  // so the curve stays I/O-bound across the whole sweep — otherwise a single
   // core's compute ceiling flattens it after the first doubling and the
   // monotonicity gate measures noise.
   opts.preload = false;
@@ -151,8 +151,8 @@ int main() {
   WriteJson(points);
   std::printf(
       "\nReading: QPS rises with in-flight concurrency because each query's"
-      "\nsimulated disk-tier I/O parks on the delay queue instead of holding"
-      "\na thread (curve written to BENCH_core_scaling.json).\n");
+      "\nsimulated disk-tier I/O is paid by its waiting client instead of"
+      "\nholding a pool thread (curve written to BENCH_core_scaling.json).\n");
   bench::PrintRegistrySnapshot({"bh_scheduler_"});
 
   // Smoke gate (CI sets BH_BENCH_ASSERT=1): overlapped sim I/O must buy

@@ -58,7 +58,7 @@ int main() {
 
   cluster::WorkerOptions worker_options;  // realistic disk cost
   cluster::Worker hot("hot", &store, &rpc, worker_options);
-  if (!hot.PreloadIndex(schema, meta).ok()) return 1;
+  if (!hot.PreloadIndexAsync(schema, meta).Get().status.ok()) return 1;
 
   cluster::Worker cold_serving("cold_serving", &store, &rpc, worker_options);
   cold_serving.SetPeerResolver([&](const std::string&) { return &hot; });
@@ -115,7 +115,7 @@ int main() {
   // executor: the async task breakdown attributes each configuration's
   // latency. Warm caches are compute-bound; a memory budget too small to
   // retain any index forces every query through the disk tier, and the
-  // simulated I/O charged by the delay queue dominates.
+  // simulated I/O that the waiting caller pays dominates.
   {
     baselines::DatasetSpec spec = bench::Scaled(baselines::CohereSmall());
     spec.n = std::min<size_t>(spec.n, 4096);

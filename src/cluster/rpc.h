@@ -25,8 +25,8 @@ class RpcFabric {
   explicit RpcFabric(CostModel cost) : cost_(cost) {}
 
   /// Pays the network cost of a call moving `payload_bytes` of argument +
-  /// response data. Deferred (accumulated for delay-queue scheduling) when
-  /// the caller runs under a DeferredChargeScope; blocks otherwise.
+  /// response data. Deferred (accumulated, for the waiter to pay) when the
+  /// caller runs under a DeferredChargeScope; blocks otherwise.
   void Charge(size_t payload_bytes) const {
     const Metrics& m = RegistryMetrics();
     calls_.fetch_add(1, std::memory_order_relaxed);
@@ -42,7 +42,7 @@ class RpcFabric {
       m.latency->Record(static_cast<double>(micros));
       // In-flight covers the charge itself: the full simulated round-trip
       // for blocking callers, the hand-off instant for deferred ones (their
-      // latency is observed downstream on the delay queue).
+      // latency is paid downstream, by the thread waiting for the result).
       m.inflight->Add(1);
       common::ChargeSimLatency(static_cast<uint64_t>(micros));
       m.inflight->Sub(1);

@@ -1,9 +1,12 @@
 #include "cluster/scheduler.h"
 
+#include <algorithm>
+#include <chrono>
 #include <unordered_set>
 #include <utility>
 
 #include "common/future.h"
+#include "common/task_scheduler.h"
 
 namespace blendhouse::cluster {
 
@@ -48,24 +51,28 @@ std::map<std::string, std::vector<storage::SegmentMeta>> Scheduler::Assign(
 common::Status PreloadIndexes(VirtualWarehouse& vw,
                               const storage::TableSchema& schema,
                               const storage::TableSnapshot& snapshot) {
+  if (!schema.index_spec.has_value()) return common::Status::Ok();
   // Same ring placement as the query scheduler, so preloaded indexes land
   // exactly where queries will look for them. Every load starts before the
-  // first wait, so they overlap on the workers' loaders and the delay queue.
+  // first wait, so their simulated reads overlap on the workers' loaders.
   auto assignment =
       Scheduler::Assign(vw, schema.table_name, snapshot.segments);
-  common::TaskScheduler* sched = &vw.task_scheduler();
-  std::vector<common::Future<common::Status>> loads;
+  std::vector<common::Future<Worker::PreloadResult>> loads;
   for (const auto& [worker_id, metas] : assignment) {
     Worker* worker = vw.worker(worker_id);
     if (worker == nullptr) continue;
     for (const storage::SegmentMeta& meta : metas)
-      loads.push_back(worker->PreloadIndexAsync(sched, schema, meta));
+      loads.push_back(worker->PreloadIndexAsync(schema, meta));
   }
   common::Status first_error;
-  for (common::Future<common::Status>& load : loads) {
-    common::Status s = load.Get();
-    if (!s.ok() && first_error.ok()) first_error = std::move(s);
+  std::chrono::steady_clock::time_point ready_at;
+  for (common::Future<Worker::PreloadResult>& load : loads) {
+    Worker::PreloadResult done = load.Get();
+    if (!done.status.ok() && first_error.ok())
+      first_error = std::move(done.status);
+    ready_at = std::max(ready_at, done.ready_at);
   }
+  common::ChargeSimLatencyUntil(ready_at);
   return first_error;
 }
 

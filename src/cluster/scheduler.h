@@ -52,9 +52,10 @@ class Scheduler {
 /// freshly ingested data.
 ///
 /// Every per-segment load runs under a deferred-charge scope on its
-/// worker's loader pool and completes through the VW task scheduler's delay
-/// queue, so simulated remote reads overlap instead of serializing. Returns
-/// Ok, or the first failure, once every load finished.
+/// worker's loader pool, so simulated remote reads overlap instead of
+/// serializing. Once every load finished, the caller pays the simulated I/O
+/// still due (up to the latest load's end plus its reads), then gets Ok or
+/// the first failure.
 common::Status PreloadIndexes(VirtualWarehouse& vw,
                               const storage::TableSchema& schema,
                               const storage::TableSnapshot& snapshot);

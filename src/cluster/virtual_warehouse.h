@@ -11,7 +11,6 @@
 #include "cluster/worker.h"
 #include "common/mutex.h"
 #include "common/result.h"
-#include "common/task_scheduler.h"
 #include "storage/object_store.h"
 
 namespace blendhouse::cluster {
@@ -101,11 +100,6 @@ class VirtualWarehouse {
   /// Drops every worker's caches (benches use this to force cold starts).
   void DropAllCaches() EXCLUDES(mu_);
 
-  /// The warehouse-wide continuation scheduler: runs top-k merge folds,
-  /// preload completions, and everything charged through the delay queue.
-  /// Thread-safe; internally synchronized.
-  common::TaskScheduler& task_scheduler() const { return scheduler_; }
-
  private:
   Worker* AddWorkerLocked() REQUIRES(mu_);
 
@@ -113,13 +107,6 @@ class VirtualWarehouse {
   storage::ObjectStore* remote_;
   RpcFabric* rpc_;
   WorkerOptions worker_options_;
-
-  // Declared before workers_ so it is destroyed after them: straggler tasks
-  // draining on a worker's pool during ~Worker still call ScheduleAfter on
-  // this scheduler. Continuations queued here never touch Worker state (they
-  // only complete promises / fold into shared attempt state), so running
-  // whatever is still queued when the scheduler finally stops is safe.
-  mutable common::TaskScheduler scheduler_{2};
 
   mutable common::Mutex mu_{common::lockrank::kVirtualWarehouse};
   mutable common::CondVar lease_cv_;

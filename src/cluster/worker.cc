@@ -137,15 +137,6 @@ common::Result<Worker::AcquiredIndex> Worker::AcquireIndex(
   return AcquiredIndex{got->index, got->outcome};
 }
 
-common::Status Worker::PreloadIndex(const storage::TableSchema& schema,
-                                    const storage::SegmentMeta& meta) {
-  if (!schema.index_spec.has_value()) return common::Status::Ok();
-  std::string key =
-      storage::SegmentKeys::Index(schema.table_name, meta.segment_id);
-  auto got = index_cache_.GetOrLoad(key, *schema.index_spec);
-  return got.ok() ? common::Status::Ok() : got.status();
-}
-
 namespace {
 uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
@@ -156,59 +147,44 @@ uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 void Worker::SearchSegmentAsync(
-    common::TaskScheduler* sched, std::function<void()> search,
+    std::function<void()> search,
     std::function<void(const AsyncTaskStats&)> done) {
   auto enqueued = std::chrono::steady_clock::now();
-  pool_.Schedule(
-      [enqueued, sched, search = std::move(search),
-       done = std::move(done)]() mutable {
-        auto start = std::chrono::steady_clock::now();
-        AsyncTaskStats stats;
-        stats.queue_wait_micros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(start -
-                                                                  enqueued)
-                .count());
-        {
-          common::DeferredChargeScope scope;
-          search();
-          stats.sim_io_micros = scope.accumulated_micros();
-        }
-        stats.compute_micros = ElapsedMicros(start);
-        sched->ScheduleAfter(stats.sim_io_micros,
-                             [done = std::move(done), stats] { done(stats); });
-      });
-}
-
-common::Future<common::Status> Worker::PreloadIndexAsync(
-    common::TaskScheduler* sched, const storage::TableSchema& schema,
-    const storage::SegmentMeta& meta) {
-  common::Promise<common::Status> promise;
-  common::Future<common::Status> fut = promise.GetFuture();
-  if (!schema.index_spec.has_value()) {
-    promise.SetValue(common::Status::Ok());
-    return fut;
-  }
-  std::string key =
-      storage::SegmentKeys::Index(schema.table_name, meta.segment_id);
-  vecindex::IndexSpec spec = *schema.index_spec;
-  // `this` outlives the task: ~Worker joins loader_ (declared last) before
-  // index_cache_ is destroyed.
-  loader_.Schedule([this, sched, key = std::move(key),  // lint:allow(this-capture)
-                    promise = std::move(promise), spec]() mutable {
-    common::Status status;
-    uint64_t sim_io = 0;
+  pool_.Schedule([enqueued, search = std::move(search),
+                  done = std::move(done)] {
+    auto start = std::chrono::steady_clock::now();
+    AsyncTaskStats stats;
+    stats.queue_wait_micros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(start - enqueued)
+            .count());
     {
       common::DeferredChargeScope scope;
-      auto got = index_cache_.GetOrLoad(key, spec);
-      if (!got.ok()) status = got.status();
-      sim_io = scope.accumulated_micros();
+      search();
+      stats.sim_io_micros = scope.accumulated_micros();
     }
-    sched->ScheduleAfter(sim_io,
-                         [promise = std::move(promise), status]() mutable {
-                           promise.SetValue(status);
-                         });
+    stats.compute_micros = ElapsedMicros(start);
+    done(stats);
   });
-  return fut;
+}
+
+common::Future<Worker::PreloadResult> Worker::PreloadIndexAsync(
+    const storage::TableSchema& schema, const storage::SegmentMeta& meta) {
+  std::string key =
+      storage::SegmentKeys::Index(schema.table_name, meta.segment_id);
+  // `this` outlives the task: ~Worker joins loader_ (declared last) before
+  // index_cache_ is destroyed.
+  return loader_.Submit([this, key = std::move(key),  // lint:allow(this-capture)
+                         spec = schema.index_spec] {
+    PreloadResult result;
+    common::DeferredChargeScope scope;
+    if (spec.has_value()) {
+      auto got = index_cache_.GetOrLoad(key, *spec);
+      if (!got.ok()) result.status = got.status();
+    }
+    result.ready_at = std::chrono::steady_clock::now() +
+                      std::chrono::microseconds(scope.accumulated_micros());
+    return result;
+  });
 }
 
 // ---- RemoteIndexProxy ------------------------------------------------------

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,10 +32,11 @@ struct WorkerOptions {
   size_t filter_bitmap_cache_bytes = 16ull << 20;
 };
 
-/// Time breakdown of one async task on a worker, reported to the completion
-/// continuation. compute is wall time on the pool thread (simulated charges
+/// Time breakdown of one async task on a worker, reported to its completion
+/// callback. compute is wall time on the pool thread (simulated charges
 /// accumulate instead of blocking, so it is pure work time); sim_io is the
-/// accumulated simulated latency the delay queue then charges.
+/// accumulated simulated latency, which the thread waiting for the result
+/// then pays.
 struct AsyncTaskStats {
   uint64_t queue_wait_micros = 0;
   uint64_t compute_micros = 0;
@@ -109,31 +111,30 @@ class Worker {
     return hit.has_value() ? *hit : nullptr;
   }
 
-  /// Synchronously pulls a segment's index through all cache tiers
-  /// (the preload path).
-  common::Status PreloadIndex(const storage::TableSchema& schema,
-                              const storage::SegmentMeta& meta);
-
   /// Async segment-search endpoint, the unit of the task-graph query path.
   /// `search` runs on this worker's compute pool under a DeferredChargeScope,
   /// so simulated I/O (object store, cache disk tier, RPC serving, DiskANN
-  /// beam reads) accumulates instead of parking the pool thread. When
-  /// `search` returns, `done(stats)` is scheduled on `sched`'s delay queue at
-  /// now + accumulated sim-I/O: per-task wall-clock latency is preserved
-  /// while the pool thread is already free to start the next segment.
-  /// `search`/`done` must own everything they touch (shared query context);
-  /// they may outlive the caller's stack frame.
-  void SearchSegmentAsync(common::TaskScheduler* sched,
-                          std::function<void()> search,
+  /// beam reads) accumulates instead of parking the pool thread, and
+  /// `done(stats)` runs right after it on the same thread. The latency is
+  /// still owed: the thread waiting for the result pays it, until the task's
+  /// end plus stats.sim_io_micros. `search`/`done` must own everything they
+  /// touch (shared query context); they may outlive the caller's stack frame.
+  void SearchSegmentAsync(std::function<void()> search,
                           std::function<void(const AsyncTaskStats&)> done);
 
-  /// Async preload of one segment's index: same deferred-charge pattern as
-  /// SearchSegmentAsync but on the background loader pool, so N preloads
-  /// overlap their simulated remote reads instead of serializing on one
-  /// loader thread. The future completes via `sched`'s delay queue.
-  common::Future<common::Status> PreloadIndexAsync(
-      common::TaskScheduler* sched, const storage::TableSchema& schema,
-      const storage::SegmentMeta& meta);
+  /// A finished preload: its status, and when its simulated I/O is paid
+  /// off (the load's end plus the latency it accumulated).
+  struct PreloadResult {
+    common::Status status;
+    std::chrono::steady_clock::time_point ready_at;
+  };
+
+  /// Async preload of one segment's index through all cache tiers, on the
+  /// background loader pool under a DeferredChargeScope: the loader never
+  /// parks on simulated remote reads, so N preloads overlap them on one
+  /// loader thread. Whoever waits on the future pays up to `ready_at`.
+  common::Future<PreloadResult> PreloadIndexAsync(
+      const storage::TableSchema& schema, const storage::SegmentMeta& meta);
 
   common::LruCache<storage::SegmentPtr>& segment_cache() { return segment_cache_; }
 

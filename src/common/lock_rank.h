@@ -116,8 +116,8 @@ inline constexpr int kObjectStore = 300;
 /// two LRU locks: tier walks in HierarchicalIndexCache are sequential.
 inline constexpr int kLruCache = 250;
 
-/// common::TaskScheduler::mu_ — the scheduler's ready queue, deadline heap
-/// and park/Drain() condition variables (DESIGN.md §12). Schedule is
+/// common::TaskScheduler::mu_ — the scheduler's ready queue and its
+/// park/Drain() condition variables (DESIGN.md §12). Schedule is
 /// callable under any higher lock; tasks run with it released. Its critical
 /// sections update the queue-depth gauge and queue-wait histogram, whose
 /// objects are lock-free.
@@ -160,8 +160,8 @@ void NoteWaitRelease(int rank);
 void NoteWaitReacquire(int rank);
 
 /// Aborts if the calling thread holds any ranked lock. Placed at the points
-/// where externally supplied callbacks/continuations are invoked (inline
-/// future continuations, the peer resolver) — the dynamic twin of
+/// where externally supplied callbacks are invoked (every TaskScheduler
+/// task, the peer resolver) — the dynamic twin of
 /// tools/lockgraph.py's callback-under-lock check. `what` names the callback
 /// site for the failure message.
 void AssertNoneHeld(const char* what);

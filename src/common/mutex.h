@@ -107,10 +107,9 @@ class CondVar {
 
   /// Like Wait(), but also returns (with `mu` re-acquired) once `deadline`
   /// passes. Returns false on timeout, true when notified. This is the one
-  /// sanctioned way to wait on wall-clock time: the TaskScheduler delay queue
-  /// uses it to fire deadline-scheduled continuations, and sim-latency charges
-  /// without an async scope block here instead of in sleep_for (which lint
-  /// bans because it burns a pool thread invisibly).
+  /// sanctioned way to wait on wall-clock time: sim-latency charges without
+  /// a deferred scope block here instead of in sleep_for (which lint bans
+  /// because it burns a pool thread invisibly).
   bool WaitUntil(Mutex& mu, std::chrono::steady_clock::time_point deadline)
       REQUIRES(mu) {
     BH_LOCK_RANK_ONLY(lockrank::NoteWaitRelease(mu.rank_));

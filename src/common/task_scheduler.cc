@@ -1,7 +1,5 @@
 #include "common/task_scheduler.h"
 
-#include <algorithm>
-
 namespace blendhouse::common {
 
 namespace {
@@ -55,39 +53,6 @@ void TaskScheduler::Schedule(MoveOnlyFn fn) {
   if (wake) work_cv_.NotifyOne();
 }
 
-void TaskScheduler::ScheduleAfter(uint64_t delay_micros, MoveOnlyFn fn) {
-  if (delay_micros == 0) return Schedule(std::move(fn));
-  bool wake = false;
-  {
-    MutexLock lock(mu_);
-    const uint64_t seq = next_seq_++;
-    delayed_.push_back(DelayedTask{
-        Clock::now() + std::chrono::microseconds(delay_micros), seq,
-        std::move(fn)});
-    std::push_heap(delayed_.begin(), delayed_.end(), Later);
-    // Parked threads are timed to the previous earliest deadline, or not
-    // timed at all; only a new earliest deadline makes them re-arm.
-    wake = parked_ > 0 && delayed_.front().seq == seq;
-  }
-  // All of them, not one: the thread woken to re-arm may pick up a ready
-  // task instead, and the deadline must not wait for that task to finish.
-  if (wake) work_cv_.NotifyAll();
-}
-
-void TaskScheduler::PromoteExpiredLocked(Clock::time_point now) {
-  while (!delayed_.empty() &&
-         (stopping_ || delayed_.front().deadline <= now)) {
-    // pop_heap moves the earliest entry to the back, where its fn is moved
-    // out directly.
-    std::pop_heap(delayed_.begin(), delayed_.end(), Later);
-    DelayedTask& due = delayed_.back();
-    ready_.push_back(
-        ReadyTask{std::min(due.deadline, now), std::move(due.fn)});
-    delayed_.pop_back();
-    queue_depth_metric_->Add(1);
-  }
-}
-
 MoveOnlyFn TaskScheduler::PopReadyLocked(Clock::time_point now) {
   ReadyTask& head = ready_.front();
   queue_wait_metric_->Record(
@@ -102,11 +67,10 @@ MoveOnlyFn TaskScheduler::PopReadyLocked(Clock::time_point now) {
 void TaskScheduler::WorkerLoop() {
   mu_.Lock();
   for (;;) {
-    // Read under the lock, so no task enqueued before it is stamped later.
-    const Clock::time_point now = Clock::now();
-    PromoteExpiredLocked(now);
     if (!ready_.empty()) {
-      MoveOnlyFn task = PopReadyLocked(now);
+      // Clock read under the lock, so no task enqueued before it is stamped
+      // later.
+      MoveOnlyFn task = PopReadyLocked(Clock::now());
       ++running_;
       mu_.Unlock();
       RunTask(std::move(task));
@@ -114,18 +78,12 @@ void TaskScheduler::WorkerLoop() {
       mu_.Lock();
       --running_;
       ++tasks_executed_;
-      if (running_ == 0 && ready_.empty() && delayed_.empty())
-        idle_cv_.NotifyAll();
+      if (running_ == 0 && ready_.empty()) idle_cv_.NotifyAll();
       continue;
     }
-    // Stopping promotes every deadline, so both queues are empty here.
     if (stopping_) break;
     ++parked_;
-    if (delayed_.empty()) {
-      work_cv_.Wait(mu_);
-    } else {
-      work_cv_.WaitUntil(mu_, delayed_.front().deadline);
-    }
+    work_cv_.Wait(mu_);
     --parked_;
   }
   mu_.Unlock();
@@ -133,8 +91,7 @@ void TaskScheduler::WorkerLoop() {
 
 void TaskScheduler::Drain() {
   MutexLock lock(mu_);
-  while (running_ > 0 || !ready_.empty() || !delayed_.empty())
-    idle_cv_.Wait(mu_);
+  while (running_ > 0 || !ready_.empty()) idle_cv_.Wait(mu_);
 }
 
 uint64_t TaskScheduler::tasks_executed() const {
@@ -164,6 +121,10 @@ void ChargeSimLatency(uint64_t micros) {
   while (Clock::now() < deadline) cv.WaitUntil(mu, deadline);
 }
 
-bool SimChargeDeferred() { return g_charge_scope != nullptr; }
+void ChargeSimLatencyUntil(Clock::time_point deadline) {
+  const auto left =
+      std::chrono::ceil<std::chrono::microseconds>(deadline - Clock::now());
+  if (left.count() > 0) ChargeSimLatency(static_cast<uint64_t>(left.count()));
+}
 
 }  // namespace blendhouse::common

@@ -16,28 +16,26 @@
 namespace blendhouse::common {
 
 /// The execution substrate (DESIGN.md §12): a fixed set of threads serving
-/// one FIFO ready queue and one deadline-ordered delay queue.
+/// one FIFO ready queue.
 ///
 /// Every thread pool in the system is an instance: a worker's compute pool
-/// and background loader, the LSM engine's flush and index-build pools, and
-/// the warehouse-wide continuation scheduler. Query work is decomposed into
-/// move-only tasks (MoveOnlyFn), and *simulated* latency (RPC fabric, object
-/// store, cache disk tier, DiskANN beam reads) is charged by scheduling the
-/// next continuation at `now + latency` on the delay queue instead of
-/// parking a thread in sleep_for. A 2-thread worker can therefore have an
-/// unbounded number of simulated I/Os in flight — the property Figs. 11/12/18
-/// measure.
+/// and background loader, and the LSM engine's flush and index-build pools.
+/// Query work is decomposed into move-only tasks (MoveOnlyFn). A task never
+/// parks its thread on *simulated* latency (RPC fabric, object store, cache
+/// disk tier, DiskANN beam reads): it runs under a DeferredChargeScope that
+/// accumulates the latency and completes on the thread that ran it, and
+/// the thread waiting for its result pays what is still due
+/// (ChargeSimLatencyUntil). A 2-thread worker can therefore have an
+/// unbounded number of simulated I/Os in flight — the property
+/// Figs. 11/12/18 measure.
 ///
-/// Both queues live under one mutex (lockrank::kTaskScheduler). Idle threads
-/// park on one condition variable, timed to the earliest deadline while the
-/// delay queue is non-empty. A thread that wakes moves every expired
-/// deadline onto the ready queue and runs the oldest ready task. Tasks run
-/// with no scheduler lock held, so they may take any lock.
+/// The queue lives under one mutex (lockrank::kTaskScheduler). Idle threads
+/// park untimed on one condition variable, and Schedule wakes one of them.
+/// Tasks run with no scheduler lock held, so they may take any lock.
 ///
 /// Shutdown runs every accepted task exactly once: the destructor returns
-/// only after the ready queue, the delay queue (its tasks run immediately,
-/// without waiting out their delay) and any task scheduled by a task running
-/// during shutdown have all run. Completion continuations — Worker::
+/// only after the ready queue and any task scheduled by a task running
+/// during shutdown have all run. Completion callbacks — Worker::
 /// SearchSegmentAsync's `done`, a Submit future — therefore always fire.
 class TaskScheduler {
  public:
@@ -50,12 +48,6 @@ class TaskScheduler {
   /// Enqueues `fn` to run as soon as a scheduler thread is free. Ready tasks
   /// start in submission order.
   void Schedule(MoveOnlyFn fn) EXCLUDES(mu_);
-
-  /// Enqueues `fn` to run no earlier than `delay_micros` from now. This is
-  /// how simulated latency is charged: the continuation fires at deadline
-  /// while the scheduler threads stay free to run other tasks. Tasks with
-  /// equal deadlines become ready in submission order.
-  void ScheduleAfter(uint64_t delay_micros, MoveOnlyFn fn) EXCLUDES(mu_);
 
   /// Schedules `fn` and returns a future for its result (Unit when `fn`
   /// returns void), for callers that wait on the task.
@@ -74,7 +66,7 @@ class TaskScheduler {
     return future;
   }
 
-  /// Blocks until both queues are empty and no task is running. Must not be
+  /// Blocks until the queue is empty and no task is running. Must not be
   /// called from one of this scheduler's own tasks.
   void Drain() EXCLUDES(mu_);
 
@@ -89,38 +81,18 @@ class TaskScheduler {
     MoveOnlyFn fn;
   };
 
-  struct DelayedTask {
-    Clock::time_point deadline;
-    uint64_t seq = 0;  // FIFO tie-break for equal deadlines
-    MoveOnlyFn fn;
-  };
-
-  /// Heap comparator: a sorts after b, so std::push_heap keeps the
-  /// *earliest* deadline at front().
-  static bool Later(const DelayedTask& a, const DelayedTask& b) {
-    if (a.deadline != b.deadline) return a.deadline > b.deadline;
-    return a.seq > b.seq;
-  }
-
-  /// Moves every delayed task due by `now` (every one, once stopping) onto
-  /// the ready queue. Its queue wait counts from its deadline: the delay
-  /// itself is simulated I/O, not scheduler contention.
-  void PromoteExpiredLocked(Clock::time_point now) REQUIRES(mu_);
   /// Pops the ready head and records its queue wait.
   MoveOnlyFn PopReadyLocked(Clock::time_point now) REQUIRES(mu_);
-  /// Runs ready and due tasks until stopping with both queues empty; the
+  /// Runs ready tasks until stopping with the queue empty; the
   /// destructor runs it too, for tasks scheduled after the threads exited.
   void WorkerLoop() EXCLUDES(mu_);
 
   mutable Mutex mu_{lockrank::kTaskScheduler};
-  /// Idle threads park here; Schedule/ScheduleAfter wake them.
+  /// Idle threads park here; Schedule wakes one.
   CondVar work_cv_;
   /// Drain() waits here for the last running task to finish.
   CondVar idle_cv_;
   std::deque<ReadyTask> ready_ GUARDED_BY(mu_);
-  /// Min-heap on (deadline, seq), kept with push_heap/pop_heap and Later().
-  std::vector<DelayedTask> delayed_ GUARDED_BY(mu_);
-  uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   size_t running_ GUARDED_BY(mu_) = 0;
   size_t parked_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
@@ -142,14 +114,16 @@ class TaskScheduler {
 /// stacks; turning each into a continuation would mean hand-written state
 /// machines. Instead they call ChargeSimLatency(micros), which:
 ///
-///   - inside a DeferredChargeScope (the async query path): *accumulates* the
-///     micros into the scope — no blocking at all. When the enclosing task
-///     finishes, the executor schedules its completion continuation at
-///     `now + accumulated` on the delay queue, so wall-clock latency is
-///     preserved at task granularity while the thread stays free.
-///   - outside any scope (sync callers: ingestion, tests, baselines): blocks
-///     the calling thread for the full duration via a timed CondVar wait —
-///     same observable behaviour as the old sleep_for.
+///   - inside a DeferredChargeScope (pool tasks, planning, materialization):
+///     *accumulates* the micros into the scope — no blocking at all. A task
+///     that finishes turns its total into a due time, its end plus the
+///     accumulated micros, and the thread that waits for its result pays
+///     what is left of that with ChargeSimLatencyUntil. Wall-clock latency
+///     is preserved at task granularity while the pool thread stays free.
+///   - outside any scope (sync callers: ingestion, tests, baselines, and
+///     the waiter paying a due time): blocks the calling thread for the
+///     full duration via a timed CondVar wait — same observable behaviour
+///     as the old sleep_for.
 /// ---------------------------------------------------------------------------
 
 /// RAII scope that redirects ChargeSimLatency() on this thread into an
@@ -176,8 +150,9 @@ class DeferredChargeScope {
 /// full duration. Never burns CPU; never uses sleep_for.
 void ChargeSimLatency(uint64_t micros);
 
-/// True when a DeferredChargeScope is active on the calling thread. Cost
-/// models use this only for stats, never for behaviour.
-bool SimChargeDeferred();
+/// Charges the simulated latency still due before `deadline`: nothing once
+/// it has passed, otherwise the remainder, deferred or blocking exactly as
+/// ChargeSimLatency.
+void ChargeSimLatencyUntil(std::chrono::steady_clock::time_point deadline);
 
 }  // namespace blendhouse::common

@@ -18,11 +18,11 @@ namespace blendhouse::trace {
 /// Per-query distributed tracing (DESIGN.md §10).
 ///
 /// A query creates one Trace; every stage opens a Span parented to its
-/// caller's span. Spans are shared_ptrs captured by async continuations, so
-/// they survive Future::Then hops and delay-queue rescheduling; End() is
-/// exactly-once (atomic exchange), and an un-ended span self-closes when the
-/// last reference drops — a straggler continuation can therefore never leak
-/// an open span or double-record one.
+/// caller's span. Spans are shared_ptrs captured by async task callbacks, so
+/// they survive the hop onto a worker pool; End() is exactly-once (atomic
+/// exchange), and an un-ended span self-closes when the last reference drops
+/// — a straggler task can therefore never leak an open span or double-record
+/// one.
 ///
 /// Span taxonomy: query → plan | execute | materialize; execute →
 /// segment_scan (one per segment task, repeated per retry attempt) →

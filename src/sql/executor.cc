@@ -156,6 +156,9 @@ struct Executor::AttemptState {
   /// Fold of the segment tasks' ledgers and their scheduler time
   /// breakdowns; merged into ExecStats::ledger when the attempt wins.
   common::QueryLedger ledger GUARDED_BY(mu);
+  /// Latest due time of a folded task (its end plus its simulated I/O);
+  /// the caller pays up to it once the attempt completes.
+  std::chrono::steady_clock::time_point ready_at GUARDED_BY(mu);
   common::Promise<common::Status> done;
 
   void FoldCandidate(Candidate c) REQUIRES(mu) {
@@ -335,7 +338,6 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
   auto ctx = std::make_shared<const QueryContext>(
       QueryContext{trace_, CopyBoundQuery(bound), compiled_filter, strategy,
                    schema, snapshot, settings_});
-  common::TaskScheduler* sched = &vw_->task_scheduler();
 
   for (size_t attempt = 0;; ++attempt) {
     auto assignment =
@@ -381,16 +383,14 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
           auto slot = std::make_shared<SegmentTaskResult>();
           cluster::Worker* w = worker;
           // Span opened at dispatch so it covers pool queueing; both
-          // continuations share the SpanPtr, so it survives the hop through
-          // the worker pool and the delay queue, and is closed exactly once
-          // in `done` (which runs for every dispatched task — success,
-          // failure, skip).
+          // callbacks share the SpanPtr, so it survives the hop onto the
+          // worker pool, and is closed exactly once in `done` (which runs for
+          // every dispatched task — success, failure, skip).
           trace::SpanPtr span = trace_->StartSpan("segment_scan", exec_span_);
           span->SetTag("segment", meta.segment_id);
           span->SetTag("worker", w->id());
           if (attempt > 0) span->SetTag("attempt", std::to_string(attempt));
           worker->SearchSegmentAsync(
-              sched,
               /*search=*/
               [ctx, state, slot, w, meta, span] {
                 if (state->cancelled.load(std::memory_order_acquire)) {
@@ -408,10 +408,14 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
                 if (!slot->skipped && !slot->status.ok())
                   span->SetTag("error", slot->status.ToString());
                 span->End();
+                const auto due =
+                    std::chrono::steady_clock::now() +
+                    std::chrono::microseconds(ts.sim_io_micros);
                 bool fire = false;
                 common::Status outcome;
                 {
                   common::MutexLock lock(state->mu);
+                  state->ready_at = std::max(state->ready_at, due);
                   common::QueryLedger& ledger = state->ledger;
                   ledger.queue_wait_micros +=
                       static_cast<double>(ts.queue_wait_micros);
@@ -444,9 +448,7 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
                   }
                 }
                 // Fire the completion promise only after releasing state->mu:
-                // SetValue may run the waiter's continuation inline, and that
-                // continuation must be free to take any lock (the PR5
-                // RemoveWorker deadlock shape; lockgraph.py flags SetValue
+                // the woken waiter takes it next (lockgraph.py flags SetValue
                 // under a held lock as callback-under-lock).
                 if (fire) state->done.SetValue(std::move(outcome));
               });
@@ -454,8 +456,15 @@ common::Result<std::vector<Executor::Candidate>> Executor::RunOnWorkers(
       }
 
       // Sync bridge at the executor API boundary: park this caller until the
-      // streaming merge completes (or fails fast).
+      // streaming merge completes (or fails fast), then pay the simulated
+      // I/O the folded tasks still owe — on failure too, before the retry.
       common::Status status = done.Get();
+      std::chrono::steady_clock::time_point ready_at;
+      {
+        common::MutexLock lock(state->mu);
+        ready_at = state->ready_at;
+      }
+      common::ChargeSimLatencyUntil(ready_at);
       if (status.ok()) {
         common::MutexLock lock(state->mu);
         stats->ledger.Merge(state->ledger);

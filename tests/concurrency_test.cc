@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -135,8 +136,8 @@ TEST(ConcurrencyTest, PlanCacheGetPutInvalidate) {
 }
 
 // ---------------------------------------------------------------------------
-// common::TaskScheduler — submit/drain races, ordering, shutdown,
-// continuations, delay queue, cancellation
+// common::TaskScheduler — submit/drain races, ordering, shutdown, deferred
+// charges, cancellation
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrencyTest, TaskSchedulerSubmitAndDrain) {
@@ -200,14 +201,8 @@ TEST(ConcurrencyTest, TaskSchedulerDrainVsScheduleRace) {
   submitters.reserve(kSubmitters);
   for (int t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&sched, &counter] {
-      for (int i = 0; i < kTasks; ++i) {
-        auto bump = [&counter] { counter.fetch_add(1); };
-        if (i % 3 == 0) {
-          sched.ScheduleAfter(200 + 150 * static_cast<uint64_t>(i % 5), bump);
-        } else {
-          sched.Schedule(bump);
-        }
-      }
+      for (int i = 0; i < kTasks; ++i)
+        sched.Schedule([&counter] { counter.fetch_add(1); });
     });
   }
   // Drain concurrently with the submitters: it must neither hang nor return
@@ -231,26 +226,14 @@ TEST(ConcurrencyTest, TaskSchedulerSingleThreadRunsInSubmissionOrder) {
   sched.Drain();
   ASSERT_EQ(ready_order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(ready_order[i], i);
-
-  // One delay from one thread: each deadline equals or follows the previous
-  // one, and equal deadlines fire in submission order.
-  std::vector<int> delayed_order;
-  for (int i = 0; i < 16; ++i)
-    sched.ScheduleAfter(1000, [&delayed_order, i] {
-      delayed_order.push_back(i);
-    });
-  sched.Drain();
-  ASSERT_EQ(delayed_order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(delayed_order[i], i);
 }
 
 // The destructor runs every accepted task exactly once, so completion
-// continuations always fire: ready tasks queued behind a blocker, a delayed
-// task due an hour from now, and tasks that a running task schedules while
-// the destructor waits to join it. A pending Submit future resolves.
+// callbacks always fire: ready tasks queued behind a blocker, and tasks that
+// a running task schedules while the destructor waits to join it. A pending
+// Submit future resolves.
 TEST(ConcurrencyTest, TaskSchedulerDestructorRunsEveryAcceptedTask) {
-  constexpr uint64_t kHourMicros = 3600ull * 1000 * 1000;
-  std::atomic<int> queued{0}, delayed{0}, spawned{0};
+  std::atomic<int> queued{0}, spawned{0};
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   auto sched = std::make_unique<common::TaskScheduler>(1);
@@ -258,11 +241,9 @@ TEST(ConcurrencyTest, TaskSchedulerDestructorRunsEveryAcceptedTask) {
   sched->Schedule([opened, raw, &spawned] {
     opened.wait();
     raw->Schedule([&spawned] { spawned.fetch_add(1); });
-    raw->ScheduleAfter(kHourMicros, [&spawned] { spawned.fetch_add(1); });
   });
   for (int i = 0; i < 8; ++i)
     sched->Schedule([&queued] { queued.fetch_add(1); });
-  sched->ScheduleAfter(kHourMicros, [&delayed] { delayed.fetch_add(1); });
   common::Future<int> pending = sched->Submit([] { return 7; });
   // Opens the gate once the destructor is (very likely) waiting on the
   // blocker. The counts must hold even if it opens earlier.
@@ -273,8 +254,7 @@ TEST(ConcurrencyTest, TaskSchedulerDestructorRunsEveryAcceptedTask) {
   sched.reset();
   opener.join();
   EXPECT_EQ(queued.load(), 8);
-  EXPECT_EQ(delayed.load(), 1);
-  EXPECT_EQ(spawned.load(), 2);
+  EXPECT_EQ(spawned.load(), 1);
   EXPECT_EQ(pending.Get(), 7);
 }
 
@@ -296,74 +276,60 @@ TEST(ConcurrencyTest, TaskSchedulerScheduleFromManyThreads) {
   EXPECT_EQ(sched.tasks_executed(), static_cast<uint64_t>(kSubmitters) * kTasks);
 }
 
-TEST(ConcurrencyTest, TaskSchedulerDelayQueueOrderingAndTiming) {
-  common::TaskScheduler sched(2);
-  common::Mutex mu;
-  std::vector<int> order;
-  auto start = std::chrono::steady_clock::now();
-  // Schedule in reverse deadline order from several threads; the delay queue
-  // must fire them by deadline regardless of submission order.
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < 3; ++t) {
-    submitters.emplace_back([&, t] {
-      for (int i = 0; i < 20; ++i) {
-        int bucket = (t * 20 + i) % 4;  // deadlines 40/30/20/10 ms
-        sched.ScheduleAfter(10000 * (4 - bucket), [&mu, &order, bucket] {
-          common::MutexLock lock(mu);
-          order.push_back(bucket);
-        });
-      }
-    });
-  }
-  for (auto& th : submitters) th.join();
-  sched.Drain();
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  // All 60 fired, none earlier than its deadline allows: the earliest
-  // deadline is 10 ms, and draining all four waves needs >= 40 ms wall.
-  common::MutexLock lock(mu);
-  ASSERT_EQ(order.size(), 60u);
-  EXPECT_GE(elapsed, 40);
-  // Monotone by deadline: all bucket-3 (10 ms) tasks fire before any
-  // bucket-0 (40 ms) task.
-  size_t last_b3 = 0, first_b0 = order.size();
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (order[i] == 3) last_b3 = i;
-    if (order[i] == 0 && i < first_b0) first_b0 = i;
-  }
-  EXPECT_LT(last_b3, first_b0);
-}
-
 TEST(ConcurrencyTest, TaskSchedulerDeferredChargeAccumulates) {
+  using Clock = std::chrono::steady_clock;
   common::TaskScheduler sched(2);
-  // Under a scope, charges accumulate instead of blocking; many logically
-  // long I/Os must finish in far less wall time than their sum.
+  // Under a scope, charges accumulate instead of blocking; each task turns
+  // its total into a due time, and the waiter pays the latest one. Many
+  // logically long I/Os must finish in far less wall time than their sum.
   constexpr int kTasks = 64;
   std::atomic<uint64_t> total_sim{0};
-  auto start = std::chrono::steady_clock::now();
+  common::Mutex mu;
+  Clock::time_point ready_at;
+  auto start = Clock::now();
   for (int i = 0; i < kTasks; ++i) {
-    sched.Schedule([&total_sim, &sched] {
-      uint64_t sim = 0;
-      {
-        common::DeferredChargeScope scope;
-        common::ChargeSimLatency(5000);  // 5 ms, deferred
-        common::ChargeSimLatency(5000);
-        sim = scope.accumulated_micros();
-      }
-      sched.ScheduleAfter(sim, [&total_sim, sim] {
-        total_sim.fetch_add(sim);
-      });
+    sched.Schedule([&total_sim, &mu, &ready_at] {
+      common::DeferredChargeScope scope;
+      common::ChargeSimLatency(5000);  // 5 ms, deferred
+      common::ChargeSimLatency(5000);
+      const uint64_t sim = scope.accumulated_micros();
+      total_sim.fetch_add(sim);
+      const Clock::time_point due =
+          Clock::now() + std::chrono::microseconds(sim);
+      common::MutexLock lock(mu);
+      ready_at = std::max(ready_at, due);
     });
   }
   sched.Drain();
-  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+  Clock::time_point due;
+  {
+    common::MutexLock lock(mu);
+    due = ready_at;
+  }
+  common::ChargeSimLatencyUntil(due);
+  const auto paid = Clock::now();
+  auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(paid - start)
+          .count();
   EXPECT_EQ(total_sim.load(), static_cast<uint64_t>(kTasks) * 10000);
-  // 64 x 10 ms = 640 ms sequential; overlapped via the delay queue this
-  // takes ~10 ms + overhead. 300 ms is a loose CI-safe bound.
+  EXPECT_TRUE(paid >= due);
+  // 64 x 10 ms = 640 ms sequential; overlapped, this takes ~10 ms +
+  // overhead. 300 ms is a loose CI-safe bound.
   EXPECT_LT(elapsed_ms, 300);
+
+  // A deadline already passed charges nothing: it returns at once.
+  const auto before = Clock::now();
+  common::ChargeSimLatencyUntil(before - std::chrono::hours(1));
+  EXPECT_LT(Clock::now() - before, std::chrono::milliseconds(100));
+  // Inside a scope, a future deadline accumulates its remainder instead of
+  // blocking.
+  {
+    common::DeferredChargeScope scope;
+    common::ChargeSimLatencyUntil(Clock::now() + std::chrono::hours(1));
+    EXPECT_GT(scope.accumulated_micros(), 3599ull * 1000 * 1000);
+    EXPECT_LE(scope.accumulated_micros(), 3600ull * 1000 * 1000);
+  }
+  EXPECT_LT(Clock::now() - before, std::chrono::milliseconds(100));
 }
 
 TEST(ConcurrencyTest, TaskSchedulerCancellationShortCircuits) {
@@ -372,27 +338,21 @@ TEST(ConcurrencyTest, TaskSchedulerCancellationShortCircuits) {
   std::atomic<int> ran{0}, skipped{0};
   constexpr int kTasks = 200;
   for (int i = 0; i < kTasks; ++i) {
-    // Half the tasks go through the delay queue, half straight to ready.
-    auto task = [cancelled, &ran, &skipped] {
+    sched.Schedule([cancelled, &ran, &skipped] {
       if (cancelled->load(std::memory_order_acquire)) {
         skipped.fetch_add(1);
         return;
       }
       ran.fetch_add(1);
-    };
-    if (i % 2 == 0) {
-      sched.ScheduleAfter(2000 + 100 * static_cast<uint64_t>(i), task);
-    } else {
-      sched.Schedule(task);
-    }
+    });
     if (i == kTasks / 2)
       cancelled->store(true, std::memory_order_release);
   }
   sched.Drain();
   // Every task either ran or observed the cancel flag — none lost.
   EXPECT_EQ(ran.load() + skipped.load(), kTasks);
-  // The flag flipped halfway through: at least the delayed tasks scheduled
-  // after it must short-circuit.
+  // The flag flipped halfway through: at least the tasks scheduled after it
+  // must short-circuit.
   EXPECT_GT(skipped.load(), 0);
 }
 

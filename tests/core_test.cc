@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <set>
 #include <thread>
 
@@ -832,6 +834,8 @@ TEST(BlendHouseSettings, SetDistancePrecisionFlowsIntoNewIndexes) {
   }
   ASSERT_TRUE(db.Insert("t", std::move(rows)).ok());
   ASSERT_TRUE(db.Flush("t").ok());
+  // Loaded up front, so no query is served by the exact-scan fallback.
+  ASSERT_TRUE(db.PreloadTable("t").ok());
 
   auto& reg = common::metrics::MetricsRegistry::Instance();
   uint64_t before = reg.GetCounter("bh_exec_fp32_rerank_rows")->Value();
@@ -1186,6 +1190,79 @@ TEST(BlendHouseExecStats, BreakdownSumsToExecMicros) {
   // generous bounds keep this robust on loaded CI machines.
   EXPECT_GE(sum, 0.7 * stats.exec_micros);
   EXPECT_LE(sum, 1.1 * stats.exec_micros);
+}
+
+/// One worker with one pool thread over 8 segments of 100 rows. Every
+/// object-store get costs 20 ms of simulated latency and the cache's disk
+/// tier is free, so loading the 8 segments' indexes one after another would
+/// take 160 ms.
+void MakeOneThreadSlowRemoteDb(bool force_local_load,
+                               std::unique_ptr<BlendHouse>* db,
+                               std::vector<float>* data) {
+  BlendHouseOptions opts;
+  opts.read_workers = 1;
+  opts.worker_threads = 1;
+  opts.remote_cost = {/*base_latency_micros=*/20000, /*bytes_per_micro=*/1e9,
+                      /*simulate_latency=*/true};
+  opts.rpc_cost.simulate_latency = false;
+  opts.worker.cache.disk_cost = storage::StorageCostModel::Instant();
+  opts.ingest.max_segment_rows = 100;
+  opts.settings.acquire.force_local_load = force_local_load;
+  *db = std::make_unique<BlendHouse>(opts);
+  ASSERT_TRUE((*db)->ExecuteSql("CREATE TABLE t (id Int64,"
+                                " emb Array(Float32),"
+                                " INDEX a emb TYPE HNSW('DIM=8'));")
+                  .ok());
+  *data = MakeClusteredVectors(800, kDim, 4, 5);
+  std::vector<storage::Row> rows;
+  for (size_t i = 0; i < 800; ++i) {
+    storage::Row row;
+    row.values = {static_cast<int64_t>(i),
+                  std::vector<float>(data->begin() + i * kDim,
+                                     data->begin() + (i + 1) * kDim)};
+    rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE((*db)->Insert("t", std::move(rows)).ok());
+  ASSERT_TRUE((*db)->Flush("t").ok());
+}
+
+TEST(BlendHouseExecStats, SegmentSimIoOverlapsOnOneThread) {
+  // Each segment task loads its index (20 ms of simulated I/O) without
+  // parking the one pool thread, so the 8 loads overlap: the query waits
+  // about one load for the segment tasks and one more get for
+  // materialization, not 8 loads. LIMIT 1 keeps materialization to the
+  // single winner's segment.
+  std::unique_ptr<BlendHouse> db;
+  std::vector<float> data;
+  ASSERT_NO_FATAL_FAILURE(
+      MakeOneThreadSlowRemoteDb(/*force_local_load=*/true, &db, &data));
+  std::string vec = "[";
+  for (size_t d = 0; d < kDim; ++d)
+    vec += (d ? "," : "") + std::to_string(data[d]);
+  vec += "]";
+  auto result = db->Query("SELECT id FROM t ORDER BY L2Distance(emb, " + vec +
+                          ") LIMIT 1;");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const sql::ExecStats& stats = result->stats;
+  EXPECT_EQ(stats.ledger.segments_scanned, 8u);
+  EXPECT_GE(stats.ledger.sim_io_micros, 8 * 20000.0);
+  // The waiter still pays the latency: no earlier than one load.
+  EXPECT_GE(stats.exec_micros, 20000.0);
+  EXPECT_LT(stats.exec_micros, 80000.0);
+}
+
+TEST(BlendHousePreload, PreloadOverlapsLoadsOnOneLoader) {
+  // The worker's one loader thread starts all 8 index loads without parking
+  // on their simulated reads; PreloadTable then pays the latest one.
+  std::unique_ptr<BlendHouse> db;
+  std::vector<float> data;
+  ASSERT_NO_FATAL_FAILURE(
+      MakeOneThreadSlowRemoteDb(/*force_local_load=*/false, &db, &data));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(db->PreloadTable("t").ok());
+  const auto wall = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(wall, std::chrono::milliseconds(20));
+  EXPECT_LT(wall, std::chrono::milliseconds(80));
 }
 
 }  // namespace

@@ -232,7 +232,7 @@ TEST(TraceTest, AbandonedSpanSelfClosesOnLastRelease) {
   EXPECT_EQ(trace->Collect()[0].name, "forgotten");
 }
 
-// Every SearchSegmentAsync continuation closes its span exactly once, even
+// Every SearchSegmentAsync callback closes its span exactly once, even
 // for tasks that short-circuit (a cancelled attempt's stragglers): `done`
 // runs for every dispatched task, so the executor ends spans there.
 TEST(TraceTest, AsyncSegmentTasksCloseSpansExactlyOnce) {
@@ -240,10 +240,6 @@ TEST(TraceTest, AsyncSegmentTasksCloseSpansExactlyOnce) {
   cluster::RpcFabric rpc(cluster::RpcFabric::CostModel{0, 1e12, false});
   cluster::WorkerOptions wopts;
   wopts.cache.disk_cost = storage::StorageCostModel::Instant();
-  // Scheduler before worker (as in VirtualWarehouse): ~Worker joins the pool
-  // threads that deliver `done` through the scheduler, so the scheduler must
-  // be destroyed after them.
-  common::TaskScheduler sched(2);
   cluster::Worker worker("w0", &store, &rpc, wopts);
 
   trace::TracePtr trace = trace::Trace::Make("q");
@@ -254,7 +250,6 @@ TEST(TraceTest, AsyncSegmentTasksCloseSpansExactlyOnce) {
   for (int i = 0; i < kTasks; ++i) {
     trace::SpanPtr span = trace->StartSpan("segment_scan", root);
     worker.SearchSegmentAsync(
-        &sched,
         /*search=*/
         [i, &cancelled] {
           if (i == kTasks / 2) cancelled.store(true);  // mid-flight failure

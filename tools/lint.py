@@ -15,9 +15,9 @@ enforces four concurrency/hygiene rules:
   pragma-once  Every header under src/ must start with #pragma once.
   sleep-for    std::this_thread::sleep_for / sleep_until are banned outside
                src/baselines/ (the deliberately-blocking comparison systems)
-               and src/common/task_scheduler.cc (the delay queue). Simulated
-               latency must go through common::ChargeSimLatency or
-               TaskScheduler::ScheduleAfter so it never parks a pool thread.
+               and src/common/task_scheduler.cc (the simulated-latency
+               charge). Simulated latency must go through
+               common::ChargeSimLatency so it never parks a pool thread.
   simd-intrinsics  Raw SIMD intrinsics (immintrin.h / arm_neon.h includes,
                _mm*/__m*/v*q_f32 tokens) are banned outside
                src/vecindex/kernels/. Everything else calls the dispatched
@@ -74,7 +74,7 @@ RAW_MUTEX_EXEMPT = {os.path.join("src", "common", "mutex.h")}
 SLEEP_TOKENS = ("sleep_for", "sleep_until")
 
 # Baseline comparison systems block on purpose (they model synchronous
-# engines); the delay queue is the one sanctioned timed wait in BlendHouse.
+# engines); ChargeSimLatency is the one sanctioned timed wait in BlendHouse.
 SLEEP_EXEMPT_PREFIXES = (os.path.join("src", "baselines") + os.sep,)
 SLEEP_EXEMPT_FILES = {os.path.join("src", "common", "task_scheduler.cc")}
 
@@ -222,8 +222,7 @@ def check_tokens(path, raw_lines, code_lines, findings):
                     findings.append(
                         (path, lineno, "sleep-for",
                          f"{token} outside src/baselines/; charge simulated "
-                         "latency via common::ChargeSimLatency or "
-                         "TaskScheduler::ScheduleAfter"))
+                         "latency via common::ChargeSimLatency"))
         if not exempt_simd and not allowed(lineno, "simd-intrinsics"):
             raw = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
             for token in SIMD_INCLUDE_TOKENS:
