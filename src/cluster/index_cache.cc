@@ -49,15 +49,15 @@ void HierarchicalIndexCache::ChargeDiskLatency(size_t bytes) const {
 }
 
 void HierarchicalIndexCache::InsertAllTiers(
-    const std::string& key, std::string bytes,
+    const std::string& key, std::shared_ptr<const common::AlignedBytes> blob,
     std::shared_ptr<vecindex::VectorIndex> index) {
   auto meta = std::make_shared<IndexMetaInfo>();
   meta->index_type = index->Type();
   meta->num_vectors = index->Size();
   meta->memory_bytes = index->MemoryUsage();
   metadata_.Put(key, meta, sizeof(IndexMetaInfo) + meta->index_type.size());
-  size_t disk_bytes = bytes.size();
-  disk_.Put(key, std::make_shared<std::string>(std::move(bytes)), disk_bytes);
+  size_t disk_bytes = blob->size();
+  disk_.Put(key, std::move(blob), disk_bytes);
   memory_.Put(key, index, index->MemoryUsage());
 }
 
@@ -67,11 +67,13 @@ HierarchicalIndexCache::GetOrLoad(const std::string& key,
   if (auto hit = memory_.Get(key))
     return GetResult{*hit, CacheOutcome::kMemoryHit};
 
-  // Disk tier: pay local-disk latency, then deserialize into memory.
+  // Disk tier: pay local-disk latency, then load an index that adopts the
+  // blob (views it where its format allows) instead of copying it.
   if (auto disk_hit = disk_.Get(key)) {
-    ChargeDiskLatency((*disk_hit)->size());
-    auto index =
-        vecindex::IndexFactory::Global().CreateFromSaved(spec, **disk_hit);
+    const common::AlignedBytes& blob = **disk_hit;
+    ChargeDiskLatency(blob.size());
+    auto index = vecindex::IndexFactory::Global().CreateFromSaved(
+        spec, std::string_view(blob.data(), blob.size()), *disk_hit);
     if (!index.ok()) return index.status();
     std::shared_ptr<vecindex::VectorIndex> shared = std::move(*index);
     memory_.Put(key, shared, shared->MemoryUsage());
@@ -79,13 +81,18 @@ HierarchicalIndexCache::GetOrLoad(const std::string& key,
     return GetResult{shared, CacheOutcome::kDiskHit};
   }
 
-  // Remote object store (pays the remote latency model inside Get).
+  // Remote object store (pays the remote latency model inside Get). The one
+  // copy goes into the aligned buffer that the index adopts and the disk
+  // tier keeps.
   auto bytes = remote_->Get(key);
   if (!bytes.ok()) return bytes.status();
-  auto index = vecindex::IndexFactory::Global().CreateFromSaved(spec, *bytes);
+  auto blob = std::make_shared<const common::AlignedBytes>(bytes->begin(),
+                                                           bytes->end());
+  auto index = vecindex::IndexFactory::Global().CreateFromSaved(
+      spec, std::string_view(blob->data(), blob->size()), blob);
   if (!index.ok()) return index.status();
   std::shared_ptr<vecindex::VectorIndex> shared = std::move(*index);
-  InsertAllTiers(key, std::move(*bytes), shared);
+  InsertAllTiers(key, std::move(blob), shared);
   remote_loads_.fetch_add(1, std::memory_order_relaxed);
   static common::metrics::Counter* remote_loads_metric =
       common::metrics::MetricsRegistry::Instance().GetCounter(

@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "common/io.h"
 #include "common/lru_cache.h"
 #include "common/result.h"
 #include "storage/object_store.h"
@@ -13,7 +14,7 @@ namespace blendhouse::cluster {
 /// How a query obtained its vector index — the x-axis of Fig. 11.
 enum class CacheOutcome {
   kMemoryHit = 0,    // in-memory index cache hit (the fast path)
-  kDiskHit,          // local-disk cache hit; deserialization + disk latency
+  kDiskHit,          // local-disk cache hit; disk latency + load (HNSW views)
   kRemoteLoad,       // fetched from shared remote storage
   kRemoteServing,    // answered via a peer worker's cache over RPC
   kBruteForce,       // no index available; exact scan over raw vectors
@@ -34,6 +35,17 @@ struct IndexMetaInfo {
 /// metadata/data spaces) over a local-disk LRU of serialized bytes over the
 /// remote object store. Disk hits pay the local-disk latency model; remote
 /// loads pay the object store's.
+///
+/// The disk tier keeps each blob in an aligned shared buffer, and a disk hit
+/// or remote load hands that buffer to the index as its owner, so an index
+/// whose saved form is its in-memory layout (HNSW) views the bytes instead of
+/// decoding a copy. Budget rule: each tier budgets its own resource. The
+/// memory tier charges the index's MemoryUsage(); the disk tier charges the
+/// blob's size, as simulated local-disk capacity. An index that views a
+/// disk-tier blob is this model's memory-mapped file in the page cache: when
+/// the disk tier evicts a blob that a memory-tier index still views, the
+/// shared_ptr keeps the bytes alive until that index goes too. Nothing is
+/// re-read and nothing is charged twice to one tier.
 class HierarchicalIndexCache {
  public:
   struct Options {
@@ -80,14 +92,15 @@ class HierarchicalIndexCache {
 
  private:
   void ChargeDiskLatency(size_t bytes) const;
-  void InsertAllTiers(const std::string& key, std::string bytes,
+  void InsertAllTiers(const std::string& key,
+                      std::shared_ptr<const common::AlignedBytes> blob,
                       std::shared_ptr<vecindex::VectorIndex> index);
 
   storage::ObjectStore* remote_;
   Options options_;
   common::LruCache<std::shared_ptr<vecindex::VectorIndex>> memory_;
   common::LruCache<std::shared_ptr<IndexMetaInfo>> metadata_;
-  common::LruCache<std::shared_ptr<std::string>> disk_;
+  common::LruCache<std::shared_ptr<const common::AlignedBytes>> disk_;
   std::atomic<uint64_t> disk_hits_{0};
   std::atomic<uint64_t> remote_loads_{0};
 };

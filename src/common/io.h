@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/status.h"
 
 namespace blendhouse::common {
@@ -19,11 +21,26 @@ inline bool LengthIsProduct(uint64_t length, uint64_t rows, uint64_t width) {
                    : length % rows == 0 && length / rows == width;
 }
 
+/// Sections of a saved blob that a loader views in place start at multiples
+/// of this many bytes from the blob start (BinaryWriter::PadToSection,
+/// BinaryReader::SkipSectionPadding). A blob whose first byte sits on this
+/// boundary puts every section on it too.
+inline constexpr size_t kSectionAlignment = kVectorAlignment;
+
+/// Byte buffer whose first byte is kSectionAlignment-aligned, so a
+/// sectioned blob copied into it can be viewed in place.
+using AlignedBytes = AlignedVector<char>;
+
+/// Whether `p` sits on a kSectionAlignment boundary.
+inline bool IsSectionAligned(const void* p) {
+  return reinterpret_cast<uintptr_t>(p) % kSectionAlignment == 0;
+}
+
 /// Appends POD values and vectors to a byte string. Used for serializing
 /// segments and vector indexes to the object store.
 class BinaryWriter {
  public:
-  explicit BinaryWriter(std::string* out) : out_(out) {}
+  explicit BinaryWriter(std::string* out) : out_(out), start_(out->size()) {}
 
   template <typename T>
   void Write(const T& v) {
@@ -45,8 +62,26 @@ class BinaryWriter {
                    v.size() * sizeof(T));
   }
 
+  /// Appends the values with no length prefix; the reader learns the count
+  /// from a header it read earlier.
+  template <typename T>
+  void WriteArray(std::span<const T> values) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (!values.empty())
+      out_->append(reinterpret_cast<const char*>(values.data()),
+                   values.size_bytes());
+  }
+
+  /// Appends zero bytes until the next write starts a multiple of
+  /// kSectionAlignment bytes from where this writer began.
+  void PadToSection() {
+    const size_t used = (out_->size() - start_) % kSectionAlignment;
+    if (used != 0) out_->append(kSectionAlignment - used, '\0');
+  }
+
  private:
   std::string* out_;
+  size_t start_;
 };
 
 /// Bounds-checked reader over a byte string; every read reports Corruption on
@@ -90,14 +125,38 @@ class BinaryReader {
     return Status::Ok();
   }
 
-  /// Copies `n` values into caller-sized memory, for layouts that allocate
-  /// once up front and then fill in place.
+  /// Skips the zero bytes BinaryWriter::PadToSection wrote, so the next read
+  /// starts a multiple of kSectionAlignment bytes from the start of `in`.
+  /// Nonzero padding means the writer laid the sections out differently.
+  Status SkipSectionPadding() {
+    const size_t used = pos_ % kSectionAlignment;
+    const size_t pad = used == 0 ? 0 : kSectionAlignment - used;
+    if (pad > in_.size() - pos_) return Status::Corruption("padding past end");
+    for (size_t i = 0; i < pad; ++i)
+      if (in_[pos_ + i] != '\0')
+        return Status::Corruption("nonzero section padding");
+    pos_ += pad;
+    return Status::Ok();
+  }
+
+  /// Views `rows * width` values in place instead of copying them: the
+  /// bytes under `in` must outlive `*out`. Corruption if the values run past
+  /// the end (checked by division, so corrupt counts cannot wrap) or their
+  /// address is not aligned for T. The bytes are read as T the way a
+  /// memory-mapped file is (what C++23 names start_lifetime_as_array): they
+  /// were stored as chars, which alias every type, and are never written
+  /// while viewed.
   template <typename T>
-  Status ReadArray(T* out, size_t n) {
+  Status View(uint64_t rows, uint64_t width, std::span<const T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (n > (in_.size() - pos_) / sizeof(T))
-      return Status::Corruption("array past end");
-    if (n > 0) std::memcpy(out, in_.data() + pos_, n * sizeof(T));
+    const uint64_t fit = (in_.size() - pos_) / sizeof(T);
+    if (width != 0 && rows > fit / width)
+      return Status::Corruption("view past end");
+    const char* at = in_.data() + pos_;
+    if (reinterpret_cast<uintptr_t>(at) % alignof(T) != 0)
+      return Status::Corruption("misaligned view");
+    const size_t n = rows * width;
+    *out = {reinterpret_cast<const T*>(at), n};
     pos_ += n * sizeof(T);
     return Status::Ok();
   }

@@ -26,6 +26,8 @@ const char* CodeName(Status::Code code) {
       return "ResourceExhausted";
     case Status::Code::kInternal:
       return "Internal";
+    case Status::Code::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -24,6 +24,7 @@ class Status {
     kAborted,
     kResourceExhausted,
     kInternal,
+    kFailedPrecondition,
   };
 
   Status() = default;
@@ -55,6 +56,11 @@ class Status {
   }
   static Status Internal(std::string_view msg) {
     return Status(Code::kInternal, msg);
+  }
+  /// The object is not in a state that allows the call, e.g. adding rows
+  /// to a read-only index.
+  static Status FailedPrecondition(std::string_view msg) {
+    return Status(Code::kFailedPrecondition, msg);
   }
 
   bool ok() const { return code_ == Code::kOk; }

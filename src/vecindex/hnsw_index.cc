@@ -59,7 +59,7 @@ HnswIndex::HnswIndex(size_t dim, Metric metric, HnswOptions options)
 }
 
 size_t HnswIndex::MemoryUsage() const {
-  return data_.size() * sizeof(float) + ids_.size() * sizeof(IdType) +
+  return vectors_.size() * sizeof(float) + ids_.size() * sizeof(IdType) +
          levels_.size() + store_.MemoryBytes() +
          (level0_.size() + upper_.size() + upper_offset_.size()) *
              sizeof(uint32_t);
@@ -79,7 +79,7 @@ float HnswIndex::DistToItem(const float* query, uint32_t pos) const {
   // Per-hop fp32 distance; the reduced-precision branch above is charged
   // inside PrecisionStore.
   scanstats::AddFp32(1);
-  return dist_(query, data_.data() + size_t{pos} * dim_, dim_);
+  return dist_(query, vectors_.data() + size_t{pos} * dim_, dim_);
 }
 
 size_t HnswIndex::RandomLevel() {
@@ -154,7 +154,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
 
 const float* HnswIndex::ItemVector(uint32_t pos,
                                    std::vector<float>* buf) const {
-  if (!reduced_precision()) return data_.data() + size_t{pos} * dim_;
+  if (!reduced_precision()) return vectors_.data() + size_t{pos} * dim_;
   buf->resize(dim_);
   store_.Decode(pos, buf->data());
   return buf->data();
@@ -191,24 +191,34 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
   return selected;
 }
 
+void HnswIndex::ViewBuiltArrays() {
+  vectors_ = built_.vectors;
+  ids_ = built_.ids;
+  levels_ = built_.levels;
+  level0_ = built_.level0;
+  upper_ = built_.upper;
+}
+
 void HnswIndex::InsertOne(const float* vec, IdType external_id) {
-  uint32_t node = static_cast<uint32_t>(ids_.size());
-  ids_.push_back(external_id);
+  uint32_t node = static_cast<uint32_t>(built_.ids.size());
+  built_.ids.push_back(external_id);
   if (reduced_precision()) {
     store_.Append(vec, 1);  // codes only — no fp32 copy
   } else {
-    data_.insert(data_.end(), vec, vec + dim_);
+    built_.vectors.insert(built_.vectors.end(), vec, vec + dim_);
   }
 
   // Clamped once, so levels_ and the node's records agree.
   const size_t level = std::min<size_t>(RandomLevel(), 255);
-  levels_.push_back(static_cast<uint8_t>(level));
-  level0_.resize(level0_.size() + RecordWords(0));  // zeroed: no links yet
-  BH_ASSERT_MSG(upper_.size() + level * RecordWords(1) <=
+  built_.levels.push_back(static_cast<uint8_t>(level));
+  // Zeroed: no links yet, and unfilled slots stay zero (SetLinks).
+  built_.level0.resize(built_.level0.size() + RecordWords(0));
+  BH_ASSERT_MSG(built_.upper.size() + level * RecordWords(1) <=
                     std::numeric_limits<uint32_t>::max(),
                 "hnsw: upper-level records overflow uint32 offsets");
-  upper_offset_.push_back(static_cast<uint32_t>(upper_.size()));
-  upper_.resize(upper_.size() + level * RecordWords(1));
+  upper_offset_.push_back(static_cast<uint32_t>(built_.upper.size()));
+  built_.upper.resize(built_.upper.size() + level * RecordWords(1));
+  ViewBuiltArrays();
 
   if (max_level_ < 0) {
     entry_point_ = node;
@@ -260,22 +270,27 @@ void HnswIndex::SetLinks(uint32_t node, size_t level,
   BH_DCHECK(links.size() <= MaxLinks(level));
   uint32_t* rec = MutableRecord(node, level);
   rec[0] = static_cast<uint32_t>(links.size());
-  std::copy(links.begin(), links.end(), rec + 1);
+  // Zero the slots past the new count, so Save writes unfilled slots as 0.
+  std::fill(std::copy(links.begin(), links.end(), rec + 1),
+            rec + RecordWords(level), 0u);
 }
 
 common::Status HnswIndex::AddWithIds(const float* data, const IdType* ids,
                                      size_t n) {
+  if (blob_ != nullptr)
+    return common::Status::FailedPrecondition(
+        "hnsw: a loaded index is read-only");
   // The int8 scale is calibrated on the whole batch, not its first row.
   if (reduced_precision() && !store_.calibrated()) store_.Train(data, n);
-  size_t expected = ids_.size() + n;
-  ids_.reserve(expected);
-  levels_.reserve(expected);
-  level0_.reserve(expected * RecordWords(0));
+  size_t expected = built_.ids.size() + n;
+  built_.ids.reserve(expected);
+  built_.levels.reserve(expected);
+  built_.level0.reserve(expected * RecordWords(0));
   upper_offset_.reserve(expected);
   if (reduced_precision())
     store_.Reserve(expected);
   else
-    data_.reserve(expected * dim_);
+    built_.vectors.reserve(expected * dim_);
   for (size_t i = 0; i < n; ++i) InsertOne(data + i * dim_, ids[i]);
   return common::Status::Ok();
 }
@@ -417,127 +432,179 @@ common::Result<std::unique_ptr<SearchIterator>> HnswIndex::MakeIterator(
 }
 
 // --------------------------------------------------------------------------
-// Serialization
+// Serialization: the sections are the in-memory arrays, so Load views them.
 // --------------------------------------------------------------------------
+
+namespace {
+/// "HNS2" in file byte order. It sits where the first format kept the low
+/// word of dim, which no saved dim could equal, so that format is refused.
+constexpr uint32_t kFormatTag = 0x32534E48;
+}  // namespace
 
 common::Status HnswIndex::Save(std::string* out) const {
   common::BinaryWriter w(out);
-  w.WriteString(Type());
+  w.WriteString(Type());  // first: CreateFromSaved peeks it
+  w.Write<uint32_t>(kFormatTag);
   w.Write<uint64_t>(dim_);
   w.Write<uint32_t>(static_cast<uint32_t>(metric_));
   w.Write<uint64_t>(options_.M);
   w.Write<uint64_t>(options_.ef_construction);
-  // Retired SQ8 flag: always 0, kept so saved bytes stay stable.
-  w.Write<uint8_t>(0);
+  w.Write<uint8_t>(0);  // retired SQ8 flag
   w.Write<uint8_t>(static_cast<uint8_t>(options_.precision));
   w.Write<uint32_t>(entry_point_);
   w.Write<int32_t>(max_level_);
-  w.WriteVector(ids_);
-  w.WriteVector(levels_);
-  if (reduced_precision()) {
-    store_.Serialize(&w);
-  } else {
-    w.WriteVector(data_);
-  }
-  // Per node: its level count, then per level a uint64 link count and only
-  // the filled links. Indexes already in object stores use this format, so
-  // it does not follow the in-memory records.
   w.Write<uint64_t>(ids_.size());
-  for (uint32_t node = 0; node < ids_.size(); ++node) {
-    w.Write<uint32_t>(levels_[node] + 1u);
-    for (size_t lvl = 0; lvl <= levels_[node]; ++lvl) {
-      std::span<const uint32_t> links = LinksAt(node, lvl);
-      w.Write<uint64_t>(links.size());
-      for (uint32_t nb : links) w.Write(nb);
-    }
-  }
+  w.Write<uint64_t>(upper_.size());
+  // Each section starts on a kSectionAlignment boundary of the blob.
+  w.PadToSection();
+  w.WriteArray(ids_);
+  w.PadToSection();
+  w.WriteArray(levels_);
+  w.PadToSection();
+  if (reduced_precision())
+    store_.Serialize(&w);
+  else
+    w.WriteArray(vectors_);
+  w.PadToSection();
+  w.WriteArray(level0_);
+  w.PadToSection();
+  w.WriteArray(upper_);
   return common::Status::Ok();
 }
 
 common::Status HnswIndex::Load(std::string_view in) {
+  return Load(in, nullptr);
+}
+
+common::Status HnswIndex::Load(std::string_view in,
+                               std::shared_ptr<const void> owner) {
+  if (owner == nullptr || !common::IsSectionAligned(in.data())) {
+    auto copy =
+        std::make_shared<const common::AlignedBytes>(in.begin(), in.end());
+    in = std::string_view(copy->data(), copy->size());
+    owner = std::move(copy);
+  }
+  // Everything is parsed into locals and checked before any member is set,
+  // so a refused blob leaves the index as it was.
   common::BinaryReader r(in);
   std::string type;
+  uint32_t format = 0, metric_tag = 0, entry = 0;
+  uint64_t dim = 0, m = 0, efc = 0, n = 0, upper_words = 0;
+  uint8_t sq_flag = 0, precision_tag = 0;
+  int32_t max_level = 0;
   BH_RETURN_IF_ERROR(r.ReadString(&type));
-  uint64_t dim = 0, m = 0, efc = 0;
-  uint32_t metric = 0;
-  uint8_t sq_flag = 0;
-  uint8_t precision_tag = 0;
+  if (type != Type()) return common::Status::Corruption("hnsw: type mismatch");
+  BH_RETURN_IF_ERROR(r.Read(&format));
+  if (format != kFormatTag)
+    return common::Status::Corruption("hnsw: unknown format");
   BH_RETURN_IF_ERROR(r.Read(&dim));
-  BH_RETURN_IF_ERROR(r.Read(&metric));
+  BH_RETURN_IF_ERROR(r.Read(&metric_tag));
   BH_RETURN_IF_ERROR(r.Read(&m));
   BH_RETURN_IF_ERROR(r.Read(&efc));
   BH_RETURN_IF_ERROR(r.Read(&sq_flag));
   BH_RETURN_IF_ERROR(r.Read(&precision_tag));
+  BH_RETURN_IF_ERROR(r.Read(&entry));
+  BH_RETURN_IF_ERROR(r.Read(&max_level));
+  BH_RETURN_IF_ERROR(r.Read(&n));
+  BH_RETURN_IF_ERROR(r.Read(&upper_words));
   // A set SQ8 flag marks the retired per-dimension SQ8 storage form.
   if (sq_flag != 0)
     return common::Status::Corruption("hnsw: retired SQ8 storage");
-  if (!PrecisionFromTag(precision_tag, &options_.precision))
+  Precision precision = Precision::kFp32;
+  if (!PrecisionFromTag(precision_tag, &precision))
     return common::Status::Corruption("hnsw: bad precision tag");
   if (m == 0 || m > HnswOptions::kMaxM)
     return common::Status::Corruption("hnsw: M out of range");
   if (!SavedDimValid(dim)) return common::Status::Corruption("hnsw: bad dim");
-  if (!MetricFromTag(metric, &metric_))
+  Metric metric = Metric::kL2;
+  if (!MetricFromTag(metric_tag, &metric))
     return common::Status::Corruption("hnsw: bad metric");
-  dim_ = dim;
-  dist_ = ResolveDistance(metric_);
-  options_.M = m;
-  options_.ef_construction = efc;
-  if (type != Type()) return common::Status::Corruption("hnsw: type mismatch");
-  BH_RETURN_IF_ERROR(r.Read(&entry_point_));
-  BH_RETURN_IF_ERROR(r.Read(&max_level_));
-  BH_RETURN_IF_ERROR(r.ReadVector(&ids_));
-  BH_RETURN_IF_ERROR(r.ReadVector(&levels_));
-  if (reduced_precision()) {
-    BH_RETURN_IF_ERROR(store_.Deserialize(&r));
-    if (store_.precision() != options_.precision || store_.dim() != dim_ ||
-        store_.size() != ids_.size())
+  if (upper_words > std::numeric_limits<uint32_t>::max())
+    return common::Status::Corruption("hnsw: graph too large");
+
+  // Sections, in Save's order. Each view is bounds- and alignment-checked;
+  // the ids view also bounds n by the blob's size.
+  std::span<const IdType> ids;
+  std::span<const uint8_t> levels;
+  std::span<const float> vectors;
+  std::span<const uint32_t> level0, upper;
+  PrecisionStore store;
+  BH_RETURN_IF_ERROR(r.SkipSectionPadding());
+  BH_RETURN_IF_ERROR(r.View(n, 1, &ids));
+  BH_RETURN_IF_ERROR(r.SkipSectionPadding());
+  BH_RETURN_IF_ERROR(r.View(n, 1, &levels));  // one level per node
+  BH_RETURN_IF_ERROR(r.SkipSectionPadding());
+  if (precision != Precision::kFp32) {
+    BH_RETURN_IF_ERROR(store.Deserialize(&r));
+    if (store.precision() != precision || store.dim() != dim ||
+        store.size() != n)
       return common::Status::Corruption("hnsw: store mismatch");
   } else {
-    BH_RETURN_IF_ERROR(r.ReadVector(&data_));
+    BH_RETURN_IF_ERROR(r.View(n, dim, &vectors));  // n × dim floats
   }
-  const size_t n = ids_.size();
-  if (levels_.size() != n)
-    return common::Status::Corruption("hnsw: level count mismatch");
-  if (!reduced_precision() && !common::LengthIsProduct(data_.size(), n, dim_))
-    return common::Status::Corruption("hnsw: vector array length mismatch");
-  uint64_t num_nodes = 0;
-  BH_RETURN_IF_ERROR(r.Read(&num_nodes));
-  if (num_nodes != n)
-    return common::Status::Corruption("hnsw: node count mismatch");
+  const uint64_t words0 = 2 * m + 1, words1 = m + 1;  // RecordWords(0 / 1)
+  BH_RETURN_IF_ERROR(r.SkipSectionPadding());
+  BH_RETURN_IF_ERROR(r.View(n, words0, &level0));
+  BH_RETURN_IF_ERROR(r.SkipSectionPadding());
+  BH_RETURN_IF_ERROR(r.View(upper_words, 1, &upper));
 
-  // Size the records once from levels_, then copy each in with one read.
-  upper_offset_.resize(n);
-  uint64_t upper_words = 0;
+  // Upper offsets are not saved: recompute them from levels, which must
+  // account for exactly the saved upper words.
+  std::vector<uint32_t> upper_offset(n);
+  uint64_t words = 0;
   for (size_t node = 0; node < n; ++node) {
-    upper_offset_[node] = static_cast<uint32_t>(upper_words);
-    upper_words += uint64_t{levels_[node]} * RecordWords(1);
-    if (upper_words > std::numeric_limits<uint32_t>::max())
-      return common::Status::Corruption("hnsw: graph too large");
+    upper_offset[node] = static_cast<uint32_t>(words);
+    words += uint64_t{levels[node]} * words1;
+    if (words > upper_words) break;
   }
-  level0_.assign(n * RecordWords(0), 0);
-  upper_.assign(upper_words, 0);
-  for (uint32_t node = 0; node < n; ++node) {
-    uint32_t num_levels = 0;
-    BH_RETURN_IF_ERROR(r.Read(&num_levels));
-    if (num_levels != levels_[node] + 1u)
-      return common::Status::Corruption("hnsw: node level mismatch");
-    for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-      uint64_t count = 0;
-      BH_RETURN_IF_ERROR(r.Read(&count));
-      if (count > MaxLinks(lvl))
+  if (words != upper_words)
+    return common::Status::Corruption(
+        "hnsw: upper records disagree with levels");
+
+  // Search follows links unchecked: every record must hold at most
+  // MaxLinks(level) links, each naming a node whose top level reaches it.
+  // Every node reaches level 0, so its pass only bounds the links, with no
+  // branch per slot: a disk hit pays this pass on every load.
+  bool too_many = false, dangling = false;
+  for (size_t node = 0; node < n; ++node) {
+    const uint32_t* rec = &level0[node * words0];
+    too_many |= rec[0] > 2 * m;
+    for (uint64_t slot = 0; slot < 2 * m; ++slot)
+      dangling |= (slot < rec[0]) & (rec[1 + slot] >= n);
+  }
+  if (too_many) return common::Status::Corruption("hnsw: too many links");
+  if (dangling) return common::Status::Corruption("hnsw: dangling link");
+  for (size_t node = 0; node < n; ++node) {
+    for (size_t level = 1; level <= levels[node]; ++level) {
+      const uint32_t* rec = &upper[upper_offset[node] + (level - 1) * words1];
+      if (rec[0] > m)
         return common::Status::Corruption("hnsw: too many links");
-      uint32_t* rec = MutableRecord(node, lvl);
-      rec[0] = static_cast<uint32_t>(count);
-      BH_RETURN_IF_ERROR(r.ReadArray(rec + 1, count));
-      // A link must name a node that has a record at this level.
-      for (uint32_t nb : LinksAt(node, lvl))
-        if (nb >= n || levels_[nb] < lvl)
+      for (const uint32_t* nb = rec + 1; nb != rec + 1 + rec[0]; ++nb)
+        if (*nb >= n || levels[*nb] < level)
           return common::Status::Corruption("hnsw: dangling link");
     }
   }
-  if (n == 0 ? max_level_ != -1
-             : (entry_point_ >= n || max_level_ != levels_[entry_point_]))
+  if (n == 0 ? max_level != -1
+             : (entry >= n || max_level != levels[entry]))
     return common::Status::Corruption("hnsw: bad entry point");
+
+  dim_ = dim;
+  metric_ = metric;
+  dist_ = ResolveDistance(metric_);
+  options_.M = m;
+  options_.ef_construction = efc;
+  options_.precision = precision;
+  entry_point_ = entry;
+  max_level_ = max_level;
+  vectors_ = vectors;
+  ids_ = ids;
+  levels_ = levels;
+  level0_ = level0;
+  upper_ = upper;
+  upper_offset_ = std::move(upper_offset);
+  store_ = std::move(store);
+  built_ = {};
+  blob_ = std::move(owner);
   return common::Status::Ok();
 }
 

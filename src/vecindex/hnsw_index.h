@@ -33,6 +33,9 @@ struct HnswOptions {
 /// results, as hnswlib does) and a *native* incremental SearchIterator that
 /// resumes the best-first traversal instead of restarting with a larger k —
 /// the extension the paper added to hnswlib for its post-filter strategy.
+///
+/// The saved form is the in-memory layout (DESIGN.md "HNSW storage"): a
+/// loaded index views the blob's sections in place and is read-only.
 class HnswIndex : public VectorIndex {
  public:
   HnswIndex(size_t dim, Metric metric, HnswOptions options = {});
@@ -46,10 +49,17 @@ class HnswIndex : public VectorIndex {
 
   common::Status Train(const float* data, size_t n) override;
   bool NeedsTraining() const override { return false; }
+  /// FailedPrecondition on a loaded index: its arrays are views.
   common::Status AddWithIds(const float* data, const IdType* ids,
                             size_t n) override;
   common::Status Save(std::string* out) const override;
+  /// Load(in, nullptr): copies `in` once into an aligned buffer it owns.
   common::Status Load(std::string_view in) override;
+  /// Views `in`'s sections in place and holds `owner`. With no owner, or
+  /// when `in` does not start on a kSectionAlignment boundary, it first
+  /// copies `in` once into an aligned buffer it owns.
+  common::Status Load(std::string_view in,
+                      std::shared_ptr<const void> owner) override;
 
   common::Result<std::vector<Neighbor>> SearchWithFilter(
       const float* query, const SearchParams& params) const override;
@@ -76,7 +86,7 @@ class HnswIndex : public VectorIndex {
     if (reduced_precision())
       kernels::Prefetch(store_.RowPtr(pos));
     else
-      kernels::Prefetch(data_.data() + size_t{pos} * dim_);
+      kernels::Prefetch(vectors_.data() + size_t{pos} * dim_);
   }
 
   /// Float view of stored item `pos`: raw data pointer when unquantized,
@@ -114,14 +124,18 @@ class HnswIndex : public VectorIndex {
     return level == 0 ? size_t{node} * RecordWords(0)
                       : upper_offset_[node] + (level - 1) * RecordWords(1);
   }
+  /// Build only: the record in built_'s arrays, which the views alias.
   uint32_t* MutableRecord(uint32_t node, size_t level) {
-    return (level == 0 ? level0_ : upper_).data() + RecordOffset(node, level);
+    return (level == 0 ? built_.level0 : built_.upper).data() +
+           RecordOffset(node, level);
   }
   std::span<const uint32_t> LinksAt(uint32_t node, size_t level) const {
     const uint32_t* rec =
         (level == 0 ? level0_ : upper_).data() + RecordOffset(node, level);
     return {rec + 1, rec[0]};
   }
+  /// Points the views at built_'s arrays; called after each growth.
+  void ViewBuiltArrays();
 
   size_t dim_;
   Metric metric_;
@@ -130,21 +144,38 @@ class HnswIndex : public VectorIndex {
   uint64_t rng_state_;
   DistanceFn dist_;  // resolved once; re-resolved on Load
 
+  // The one read path: search, the iterator, Save and MemoryUsage read these
+  // views, which point into built_ on a built index and into the blob's
+  // sections on a loaded one (DESIGN.md "HNSW storage").
   /// Raw floats when options_.precision is kFp32, else empty.
-  common::AlignedVector<float> data_;
-  /// Packed fp16/int8 codes when options_.precision != kFp32, else empty.
-  PrecisionStore store_;
-
-  std::vector<IdType> ids_;
-  // Adjacency in fixed-width records (DESIGN.md "HNSW storage"): level 0 is
-  // one record of 1 + 2M words per node; levels 1..levels_[node] are
-  // consecutive records of 1 + M words in upper_ from upper_offset_[node].
-  std::vector<uint32_t> level0_;
-  std::vector<uint32_t> upper_;
+  std::span<const float> vectors_;
+  std::span<const IdType> ids_;
+  std::span<const uint8_t> levels_;
+  // Adjacency in fixed-width records: level 0 is one record of 1 + 2M words
+  // per node; levels 1..levels_[node] are consecutive records of 1 + M words
+  // in upper_ from upper_offset_[node].
+  std::span<const uint32_t> level0_;
+  std::span<const uint32_t> upper_;
+  /// Owned either way; a load recomputes it from levels_.
   std::vector<uint32_t> upper_offset_;
-  std::vector<uint8_t> levels_;
+  /// Packed fp16/int8 codes when options_.precision != kFp32, else empty.
+  /// Copied on load.
+  PrecisionStore store_;
   uint32_t entry_point_ = 0;
   int max_level_ = -1;
+
+  /// The arrays a build appends to; empty on a loaded index.
+  struct BuiltArrays {
+    common::AlignedVector<float> vectors;
+    std::vector<IdType> ids;
+    std::vector<uint8_t> levels;
+    std::vector<uint32_t> level0;
+    std::vector<uint32_t> upper;
+  };
+  BuiltArrays built_;
+  /// Keeps a loaded blob's bytes alive while the views point into them; null
+  /// on a built index, which is what lets AddWithIds grow it.
+  std::shared_ptr<const void> blob_;
 };
 
 }  // namespace blendhouse::vecindex

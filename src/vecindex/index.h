@@ -105,6 +105,14 @@ class VectorIndex {
   virtual common::Status Save(std::string* out) const = 0;
   /// Restores the index from bytes produced by Save().
   virtual common::Status Load(std::string_view in) = 0;
+  /// Same, for bytes that `owner` keeps alive: an index whose saved form is
+  /// its in-memory layout may view `in` in place and hold `owner` instead of
+  /// copying. The default ignores `owner` and copies through Load(in).
+  virtual common::Status Load(std::string_view in,
+                              std::shared_ptr<const void> owner) {
+    (void)owner;
+    return Load(in);
+  }
 
   // ---- Execution layer -----------------------------------------------------
 

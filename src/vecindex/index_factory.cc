@@ -153,7 +153,8 @@ common::Result<VectorIndexPtr> IndexFactory::Create(
 }
 
 common::Result<VectorIndexPtr> IndexFactory::CreateFromSaved(
-    const IndexSpec& spec, std::string_view bytes) const {
+    const IndexSpec& spec, std::string_view bytes,
+    std::shared_ptr<const void> owner) const {
   // Every index writes its type name first; peek it to dispatch.
   common::BinaryReader r(bytes);
   std::string type;
@@ -162,7 +163,7 @@ common::Result<VectorIndexPtr> IndexFactory::CreateFromSaved(
   actual.type = type;
   auto created = Create(actual);
   if (!created.ok()) return created.status();
-  BH_RETURN_IF_ERROR((*created)->Load(bytes));
+  BH_RETURN_IF_ERROR((*created)->Load(bytes, std::move(owner)));
   return std::move(*created);
 }
 

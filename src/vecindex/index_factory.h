@@ -45,8 +45,11 @@ class IndexFactory {
 
   /// Instantiates and Load()s an index from serialized bytes; the type tag
   /// is peeked from the payload so callers need only the spec's dim/metric.
-  common::Result<VectorIndexPtr> CreateFromSaved(const IndexSpec& spec,
-                                                 std::string_view bytes) const;
+  /// A non-null `owner` keeps `bytes` alive, so the index may view them
+  /// instead of copying (VectorIndex::Load).
+  common::Result<VectorIndexPtr> CreateFromSaved(
+      const IndexSpec& spec, std::string_view bytes,
+      std::shared_ptr<const void> owner = nullptr) const;
 
  private:
   IndexFactory();

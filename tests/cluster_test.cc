@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
 
@@ -234,6 +235,50 @@ TEST_F(ClusterFixture, IndexCacheTiersProgress) {
   auto again = disk_only.GetOrLoad(key, *schema_.index_spec);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->outcome, CacheOutcome::kDiskHit);
+}
+
+TEST_F(ClusterFixture, IndexCacheDiskHitOutlivesDiskEviction) {
+  // A disk hit's index views the disk tier's blob. Dropping every tier must
+  // not free the bytes under it: the index keeps them alive and answers
+  // exactly as an index decoded from the object store's copy.
+  IngestRows(200);
+  auto meta = engine_->Snapshot().segments[0];
+  std::string key = storage::SegmentKeys::Index("t", meta.segment_id);
+  HierarchicalIndexCache::Options opts;
+  opts.disk_cost = storage::StorageCostModel::Instant();
+  opts.memory_bytes = 1;  // nothing fits in memory: the second get hits disk
+  HierarchicalIndexCache cache(&store_, opts);
+  ASSERT_TRUE(cache.GetOrLoad(key, *schema_.index_spec).ok());
+  auto hit = cache.GetOrLoad(key, *schema_.index_spec);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit->outcome, CacheOutcome::kDiskHit);
+  std::shared_ptr<vecindex::VectorIndex> held = hit->index;
+  cache.Clear();
+  EXPECT_EQ(cache.disk_used(), 0u);
+
+  auto saved = store_.Get(key);
+  ASSERT_TRUE(saved.ok());
+  auto decoded =
+      vecindex::IndexFactory::Global().CreateFromSaved(*schema_.index_spec,
+                                                       *saved);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto data = MakeClusteredVectors(20, kDim, 4, 77);
+  vecindex::SearchParams params;
+  params.k = 10;
+  for (size_t q = 0; q < 20; ++q) {
+    const float* query = data.data() + q * kDim;
+    auto got = held->SearchWithFilter(query, params);
+    auto want = (*decoded)->SearchWithFilter(query, params);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got->size(), want->size()) << q;
+    ASSERT_FALSE(got->empty()) << q;
+    for (size_t i = 0; i < got->size(); ++i) {
+      EXPECT_EQ((*got)[i].id, (*want)[i].id) << q;
+      EXPECT_EQ(std::bit_cast<uint32_t>((*got)[i].distance),
+                std::bit_cast<uint32_t>((*want)[i].distance))
+          << q;
+    }
+  }
 }
 
 TEST_F(ClusterFixture, IndexCacheMetadataSurvivesDataChurn) {

@@ -404,7 +404,17 @@ TEST(ConcurrencyTest, HierarchicalIndexCacheLoadEvict) {
             break;
           default: {
             auto got = cache.GetOrLoad(key, *schema.index_spec);
-            if (!got.ok() || (*got).index == nullptr) load_failures.fetch_add(1);
+            if (!got.ok() || (*got).index == nullptr) {
+              load_failures.fetch_add(1);
+              break;
+            }
+            // The index may view a disk-tier blob that another thread
+            // evicts meanwhile; holding the index must keep the bytes alive.
+            const std::vector<float> query(8, 0.5f);
+            vecindex::SearchParams params;
+            params.k = 5;
+            auto found = got->index->SearchWithFilter(query.data(), params);
+            if (!found.ok() || found->empty()) load_failures.fetch_add(1);
             break;
           }
         }

@@ -7,6 +7,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/io.h"
 #include "tests/test_util.h"
 #include "vecindex/auto_index.h"
 #include "vecindex/generic_iterator.h"
@@ -755,10 +756,48 @@ TEST(HnswIndexTest, IteratorReachesDeepResults) {
   EXPECT_GE(total, 900u);  // HNSW graphs are connected: nearly all reachable
 }
 
+/// Where the next section starts after a write that ended at `end`.
+size_t SectionAfter(size_t end) {
+  const size_t a = common::kSectionAlignment;
+  return (end + a - 1) / a * a;
+}
+
+/// Byte offsets in a saved fp32 HNSW blob, found by walking its header and
+/// the section padding the way HnswIndex::Load does.
+struct HnswBlobLayout {
+  size_t format_at, sq_flag_at, entry_at, upper_words_at;
+  size_t vectors_at, level0_at, upper_at;  // sections 3 to 5
+  uint64_t n, upper_words;
+};
+
+HnswBlobLayout WalkHnswBlob(const std::string& blob, size_t dim, size_t m) {
+  auto read_u64 = [&](size_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, blob.data() + at, sizeof v);
+    return v;
+  };
+  HnswBlobLayout l{};
+  l.format_at = 8 + read_u64(0);  // type string: length, then bytes
+  // Format tag, dim, metric, M, ef_construction.
+  l.sq_flag_at = l.format_at + 4 + 8 + 4 + 8 + 8;
+  l.entry_at = l.sq_flag_at + 1 + 1;  // SQ flag, precision tag
+  const size_t n_at = l.entry_at + 4 + 4;  // entry point, max level
+  l.n = read_u64(n_at);
+  l.upper_words_at = n_at + 8;
+  l.upper_words = read_u64(l.upper_words_at);
+  const size_t ids_at = SectionAfter(l.upper_words_at + 8);
+  const size_t levels_at = SectionAfter(ids_at + sizeof(IdType) * l.n);
+  l.vectors_at = SectionAfter(levels_at + l.n);
+  l.level0_at = SectionAfter(l.vectors_at + sizeof(float) * l.n * dim);
+  l.upper_at =
+      SectionAfter(l.level0_at + sizeof(uint32_t) * l.n * (2 * m + 1));
+  return l;
+}
+
 TEST(HnswIndexTest, LoadRejectsInconsistentGraph) {
-  // Each case patches a saved index so that it still parses but names a node
-  // or a row that does not exist. Load must refuse it, not leave the first
-  // search to read out of bounds.
+  // Each case patches a saved index so that it names a node or a row that
+  // does not exist, or breaks the layout. Load must refuse it with
+  // Corruption, not leave the first search to read out of bounds.
   const size_t n = 200, dim = 16;
   auto data = MakeClusteredVectors(n, dim, 4, 91);
   auto ids = SequentialIds(n);
@@ -775,43 +814,107 @@ TEST(HnswIndexTest, LoadRejectsInconsistentGraph) {
   };
   ASSERT_TRUE(load(good).ok());
 
-  // Offsets follow HnswIndex::Save for an fp32 index of type "HNSW":
-  // type string, dim, metric, M, ef_construction, SQ flag, precision tag.
-  const size_t entry_at = 8 + 4 + 8 + 4 + 8 + 8 + 1 + 1;
-  const size_t data_len_at =  // entry point, max level, ids, levels
-      entry_at + 4 + 4 + (8 + sizeof(IdType) * n) + (8 + n);
-  const size_t graph_at = data_len_at + 8 + sizeof(float) * n * dim;
-  // Node count, node 0's level count, node 0's level-0 link count.
-  const size_t first_link_at = graph_at + 8 + 4 + 8;
-  auto read_u64 = [&](size_t at) {
-    uint64_t v = 0;
+  const HnswBlobLayout l = WalkHnswBlob(good, dim, opts.M);
+  ASSERT_EQ(l.n, n);
+  ASSERT_GT(l.upper_words, 0u);
+  ASSERT_EQ(l.upper_at + sizeof(uint32_t) * l.upper_words, good.size());
+  auto read_u32 = [&](size_t at) {
+    uint32_t v = 0;
     std::memcpy(&v, good.data() + at, sizeof v);
     return v;
   };
-  ASSERT_EQ(read_u64(data_len_at), n * dim);
-  ASSERT_EQ(read_u64(graph_at), n);
-  ASSERT_GT(read_u64(first_link_at - 8), 0u);
-  auto patched = [&](size_t at, uint32_t v) {
+  ASSERT_GT(read_u32(l.level0_at), 0u);  // node 0 has level-0 links
+  auto patched = [&](size_t at, auto v) {
     std::string bytes = good;
     std::memcpy(bytes.data() + at, &v, sizeof v);
     return bytes;
   };
-  const auto kCorruption = common::Status::Code::kCorruption;
+  auto expect_corruption = [&](const char* what, const std::string& bytes) {
+    common::Status status = load(bytes);
+    EXPECT_EQ(status.code(), common::Status::Code::kCorruption)
+        << what << ": " << status.ToString();
+  };
 
-  common::Status link = load(patched(first_link_at, 1000000));
-  EXPECT_EQ(link.code(), kCorruption) << link.ToString();
+  expect_corruption("dangling level-0 link",
+                    patched(l.level0_at + 4, uint32_t{1000000}));
+  expect_corruption("entry point past n",
+                    patched(l.entry_at, uint32_t{1000000}));
 
-  common::Status entry = load(patched(entry_at, 1000000));
-  EXPECT_EQ(entry.code(), kCorruption) << entry.ToString();
+  // One row short: the vector section holds n - 1 rows and the sections
+  // after it are laid out again from there.
+  std::string short_rows =
+      good.substr(0, l.vectors_at + sizeof(float) * (n - 1) * dim);
+  short_rows.resize(SectionAfter(short_rows.size()), '\0');
+  short_rows += good.substr(l.level0_at);
+  expect_corruption("one row short", short_rows);
 
-  // One row short: drop the last row's floats and shrink the length prefix
-  // to match, so everything after still parses.
-  std::string short_rows = good;
-  const uint64_t fewer = (n - 1) * dim;
-  std::memcpy(short_rows.data() + data_len_at, &fewer, sizeof fewer);
-  short_rows.erase(graph_at - sizeof(float) * dim, sizeof(float) * dim);
-  common::Status rows = load(short_rows);
-  EXPECT_EQ(rows.code(), kCorruption) << rows.ToString();
+  expect_corruption("wrong format tag", patched(l.format_at, uint32_t{1}));
+  expect_corruption("level-0 count above 2M",
+                    patched(l.level0_at, uint32_t(2 * opts.M + 1)));
+  expect_corruption("upper words disagree with levels",
+                    patched(l.upper_words_at, l.upper_words - 1));
+  expect_corruption("truncated last section",
+                    good.substr(0, good.size() - sizeof(uint32_t)));
+
+  // Bytes at an odd address load through the copy path, and the loaded
+  // index answers as the built one does.
+  auto odd = std::make_shared<common::AlignedBytes>(good.size() + 1);
+  std::memcpy(odd->data() + 1, good.data(), good.size());
+  HnswIndex from_odd(dim, Metric::kL2, opts);
+  ASSERT_TRUE(
+      from_odd.Load(std::string_view(odd->data() + 1, good.size()), odd).ok());
+  EXPECT_EQ(odd.use_count(), 1);  // copied, so the index holds no reference
+  SearchParams p;
+  p.k = 10;
+  p.ef_search = 64;
+  for (size_t q = 0; q < 20; ++q) {
+    const float* query = data.data() + (q * 37 % n) * dim;
+    auto want = index.SearchWithFilter(query, p);
+    auto got = from_odd.SearchWithFilter(query, p);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_EQ(want->size(), got->size()) << q;
+    for (size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ((*want)[i].id, (*got)[i].id) << q;
+      EXPECT_EQ((*want)[i].distance, (*got)[i].distance) << q;
+    }
+  }
+}
+
+TEST(HnswIndexTest, LoadedIndexIsReadOnly) {
+  // A loaded index views its owner's bytes: it refuses rows, and nothing it
+  // does writes to them.
+  const size_t n = 300, dim = 16;
+  auto data = MakeClusteredVectors(n, dim, 4, 99);
+  auto ids = SequentialIds(n);
+  for (const char* type : {"HNSW", "HNSW:int8"}) {
+    SCOPED_TRACE(type);
+    VectorIndexPtr built = MakeIndex(type, dim);
+    ASSERT_TRUE(built->AddWithIds(data.data(), ids.data(), n).ok());
+    std::string saved;
+    ASSERT_TRUE(built->Save(&saved).ok());
+    auto owner = std::make_shared<const common::AlignedBytes>(saved.begin(),
+                                                              saved.end());
+    VectorIndexPtr loaded = MakeIndex(type, dim);
+    ASSERT_TRUE(
+        loaded->Load(std::string_view(owner->data(), owner->size()), owner)
+            .ok());
+    EXPECT_GT(owner.use_count(), 1);  // adopted, not copied
+
+    SearchParams p;
+    p.k = 10;
+    for (size_t q = 0; q < 10; ++q) {
+      const float* query = data.data() + (q * 29 % n) * dim;
+      ASSERT_TRUE(loaded->SearchWithFilter(query, p).ok());
+      auto iter = loaded->MakeIterator(query, p);
+      ASSERT_TRUE(iter.ok());
+      for (int batch = 0; batch < 3; ++batch) (void)(*iter)->Next(20);
+    }
+    common::Status add = loaded->AddWithIds(data.data(), ids.data(), 1);
+    EXPECT_EQ(add.code(), common::Status::Code::kFailedPrecondition)
+        << add.ToString();
+    EXPECT_EQ(loaded->Size(), n);
+    EXPECT_TRUE(std::string_view(owner->data(), owner->size()) == saved);
+  }
 }
 
 TEST(HnswIndexTest, SaveLoadSaveIsByteIdentical) {
@@ -907,15 +1010,15 @@ TEST(HnswIndexTest, RetiredSqFlagIsCorruption) {
   EXPECT_EQ(reopened.status().code(), common::Status::Code::kCorruption)
       << reopened.status().ToString();
 
-  // A current HNSW blob with the flag byte set is refused as well. Offset:
-  // type string "HNSW", dim, metric, M, ef_construction.
+  // A current HNSW blob with the flag byte set is refused as well.
   auto data = MakeClusteredVectors(10, dim, 2, 97);
   auto ids = SequentialIds(10);
   HnswIndex index(dim, Metric::kL2);
   ASSERT_TRUE(index.AddWithIds(data.data(), ids.data(), 10).ok());
   std::string saved;
   ASSERT_TRUE(index.Save(&saved).ok());
-  const size_t sq_flag_at = 8 + 4 + 8 + 4 + 8 + 8;
+  const size_t sq_flag_at =
+      WalkHnswBlob(saved, dim, index.options().M).sq_flag_at;
   ASSERT_EQ(saved[sq_flag_at], 0);
   saved[sq_flag_at] = 1;
   HnswIndex fresh(dim, Metric::kL2);

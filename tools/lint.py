@@ -2,7 +2,7 @@
 """BlendHouse source linter.
 
 Runs as a ctest (see tests/CMakeLists.txt) over everything under src/ and
-enforces four concurrency/hygiene rules:
+enforces these concurrency/hygiene rules:
 
   raw-mutex    Raw standard-library locking primitives (std::mutex,
                std::condition_variable, std::lock_guard, ...) are banned
@@ -44,6 +44,12 @@ enforces four concurrency/hygiene rules:
                where lifetime is structurally guaranteed (e.g. a pool owned
                by *this and destroyed first) carry lint:allow(this-capture)
                with a justification.
+  raw-view     `reinterpret_cast` to a pointer or reference of any type
+               other than char, unsigned char, std::byte or void is banned
+               outside src/common/io.h and src/vecindex/kernels/. Every typed
+               view into saved bytes goes through BinaryReader::View, which
+               checks bounds and alignment; a byte pointer (to copy, hash or
+               append bytes) needs neither check.
 
 Suppress a finding by putting  lint:allow(<rule>)  in a comment on the same
 line. Usage: tools/lint.py [repo-root]
@@ -112,6 +118,15 @@ THIS_CAPTURE_RE = re.compile(
     r"\b(?:Then|Submit|Schedule|ScheduleAfter)\s*\(([^\[\]();]{0,80})"
     r"\[([^\]]*)\]", re.S)
 THIS_CAPTURE_PREFIXES = (os.path.join("src", "cluster") + os.sep,)
+
+
+# The reader that checks bounds and alignment, and the SIMD kernels, which
+# load lanes from float/code pointers, may cast to typed pointers.
+RAW_VIEW_EXEMPT_FILES = {os.path.join("src", "common", "io.h")}
+RAW_VIEW_EXEMPT_PREFIXES = (os.path.join("src", "vecindex", "kernels") + os.sep,)
+RAW_VIEW_CAST_RE = re.compile(r"\breinterpret_cast\s*<")
+# Target types a raw cast may name: byte pointers and void pointers.
+RAW_VIEW_BYTE_TYPES = {"char", "unsignedchar", "std::byte", "void"}
 
 
 def strip_comments_and_strings(text):
@@ -292,6 +307,53 @@ def check_this_capture(path, raw_lines, code_text, findings):
              "a lifetime justification"))
 
 
+def cast_target(code_text, start):
+    """The template argument of the cast whose `<` ends at `start`, with
+    nested <...> kept whole; None if it never closes."""
+    depth = 1
+    i = start
+    while i < len(code_text):
+        c = code_text[i]
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+            if depth == 0:
+                return code_text[start:i]
+        i += 1
+    return None
+
+
+def is_raw_view(target):
+    """Whether a reinterpret_cast target is a typed pointer or reference
+    (anything but a byte or void pointer). Casts to integers are not
+    views."""
+    t = re.sub(r"\b(const|volatile)\b", "", target)
+    t = re.sub(r"\s+", "", t)
+    if not t.endswith(("*", "&")):
+        return False
+    return t[:-1] not in RAW_VIEW_BYTE_TYPES
+
+
+def check_raw_view(path, raw_lines, code_text, findings):
+    if path in RAW_VIEW_EXEMPT_FILES or path.startswith(RAW_VIEW_EXEMPT_PREFIXES):
+        return
+    allows = allows_for(raw_lines)
+    for m in RAW_VIEW_CAST_RE.finditer(code_text):
+        target = cast_target(code_text, m.end())
+        if target is None or not is_raw_view(target):
+            continue
+        lineno = code_text.count("\n", 0, m.start()) + 1
+        if "raw-view" in allows.get(lineno, set()):
+            continue
+        findings.append(
+            (path, lineno, "raw-view",
+             f"reinterpret_cast<{' '.join(target.split())}> outside "
+             "src/common/io.h and src/vecindex/kernels/; view saved bytes "
+             "through common::BinaryReader::View (bounds and alignment "
+             "checked)"))
+
+
 # A registry registration with a literal name; the window between the call
 # and the string spans a line break plus indentation. Dynamic names are not
 # checked (the exporter sanitizes as a backstop).
@@ -385,6 +447,7 @@ def main():
         code_lines = code_text.splitlines()
         check_tokens(path, raw_lines, code_lines, findings)
         check_this_capture(path, raw_lines, code_text, findings)
+        check_raw_view(path, raw_lines, code_text, findings)
         check_metric_names(path, raw_lines, text, findings)
         check_pragma_once(path, raw_lines, findings)
 
